@@ -4,7 +4,10 @@ The network alternates two parameter groups each epoch:
 
 - consequent coefficients, solved globally by ridge-regularized linear
   least squares for the current premises (the solve is exact, so train
-  RMSE can only drop across this half-step);
+  RMSE can only drop across this half-step).  Repeated input rows are
+  folded into weighted distinct rows, then the smaller ridge Gram
+  matrix, dual or primal, is factored by Cholesky; a zero ridge falls
+  back to minimum-norm SVD least squares;
 - premise membership parameters, moved one gradient-descent step
   against the mean squared error (triangular premises are kept fixed:
   their vertices make the gradient undefined, so triangular models
@@ -301,26 +304,72 @@ def _design_matrix(model, Wbar, X):
     return (Wbar[:, :, None] * X1[:, None, :]).reshape(X.shape[0], -1)
 
 
+def _fold_rows(X, targets):
+    """Collapse repeated input rows.
+
+    Returns ``(unique_rows, counts, mean_targets, within_ss)``, where
+    ``within_ss`` is the targets' sum of squares about their group
+    means: the part of any fit's residual that no consequent can remove.
+    """
+    unique, inverse, counts = np.unique(
+        X, axis=0, return_inverse=True, return_counts=True)
+    inverse = inverse.ravel()        # its shape under axis= varies across numpy 2.x
+    means = np.bincount(inverse, weights=targets) / counts
+    within_ss = float(np.sum((targets - means[inverse]) ** 2))
+    return unique, counts, means, within_ss
+
+
+def _cholesky_solve(G, rhs):
+    """Solve G z = rhs for a symmetric positive definite G."""
+    L = np.linalg.cholesky(G)
+    return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+
+
+def _ridge_solve(A, b, ridge):
+    """argmin ||A p - b||^2 + ridge * ||p||^2, minimum-norm when ridge is 0.
+
+    With ridge > 0 the smaller Gram matrix is factored: the dual form
+    p = A'(AA' + ridge I)^-1 b when A has fewer rows than columns, else
+    the primal (A'A + ridge I) p = A'b.  A zero ridge, or a Gram that is
+    not numerically positive definite, falls back to least squares.
+    """
+    n, k = A.shape
+    if ridge > 0:
+        try:
+            if n < k:
+                return A.T @ _cholesky_solve(A @ A.T + ridge * np.eye(n), b)
+            return _cholesky_solve(A.T @ A + ridge * np.eye(k), A.T @ b)
+        except np.linalg.LinAlgError:
+            A = np.vstack([A, math.sqrt(ridge) * np.eye(k)])
+            b = np.concatenate([b, np.zeros(k)])
+    return np.linalg.lstsq(A, b, rcond=None)[0]
+
+
 def lse_consequents(model, X, targets, ridge=1e-8):
     """Globally optimal consequents for the current premises.
 
-    Minimizes ||Phi p - t||^2 + ridge * ||p||^2 via least squares on the
-    ridge-augmented system; premises are untouched.  Returns the
-    residual train RMSE.
+    Minimizes ||Phi p - t||^2 + ridge * ||p||^2 exactly; premises are
+    untouched.  Repeated input rows are folded first: each distinct row
+    enters once, weighted by the square root of its count, against its
+    mean target, which changes the objective only by the targets'
+    within-group sum of squares.  The folded problem is solved by a
+    Cholesky factorization of the smaller ridge Gram matrix (dual when
+    distinct rows are fewer than coefficients, primal otherwise), or by
+    least squares when ``ridge`` is 0 or the Gram is not positive
+    definite.  Returns the residual train RMSE over all rows.
     """
     X = np.asarray(X, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if len(X) < 1:
         raise ValueError("need at least one training sample")
-    _, _, Wbar, _, _ = _forward_batch(model, X)
-    Phi = _design_matrix(model, Wbar, X)
-    n_coef = Phi.shape[1]
-    if ridge > 0:
-        A = np.vstack([Phi, math.sqrt(ridge) * np.eye(n_coef)])
-        b = np.concatenate([targets, np.zeros(n_coef)])
-    else:
-        A, b = Phi, targets
-    solution, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(targets))):
+        raise NumericError("consequent solve given non-finite inputs or targets")
+    rows, counts, means, within_ss = _fold_rows(X, targets)
+    _, _, Wbar, _, _ = _forward_batch(model, rows)
+    weight = np.sqrt(counts)
+    A = _design_matrix(model, Wbar, rows) * weight[:, None]
+    b = means * weight
+    solution = _ridge_solve(A, b, ridge)
     if not np.all(np.isfinite(solution)):
         raise NumericError("consequent solve produced non-finite values")
 
@@ -329,8 +378,8 @@ def lse_consequents(model, X, targets, ridge=1e-8):
         model.consequents[:, 0] = solution
     else:
         model.consequents = solution.reshape(model.n_rules, model.input_dim + 1)
-    residual = Phi @ solution - targets
-    return float(np.sqrt(np.mean(residual**2)))
+    residual = A @ solution - b
+    return float(np.sqrt((residual @ residual + within_ss) / len(X)))
 
 
 def premise_gradients(model, X, t):
@@ -400,16 +449,20 @@ def premise_gradient_step(model, X, t, learn_rate):
 
     Widths are clamped positive and a crossed two-sided plateau is
     repaired by swapping sides, so membership invariants survive any
-    step size.  Triangular premises are left untouched.
+    step size.  Triangular premises are left untouched.  A non-finite
+    gradient or stepped parameter raises ``NumericError`` and leaves the
+    model unchanged.
     """
     if not model.mf_bank[0][0].trainable:
         return model
     _, grads = premise_gradients(model, X, t)
-    for j in range(model.input_dim):
-        for m in range(model.mfs_per_input):
-            mf = model.mf_bank[j][m]
-            model.mf_bank[j][m] = _clamped_step(
-                mf, mf.params() - learn_rate * grads[j][m])
+    stepped = [[mf.params() - learn_rate * g for mf, g in zip(row, grads[j])]
+               for j, row in enumerate(model.mf_bank)]
+    if not all(np.all(np.isfinite(p)) for row in stepped for p in row):
+        raise NumericError("premise step produced non-finite parameters")
+    for j, row in enumerate(stepped):
+        for m, p in enumerate(row):
+            model.mf_bank[j][m] = _clamped_step(model.mf_bank[j][m], p)
     return model
 
 

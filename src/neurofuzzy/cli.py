@@ -398,7 +398,7 @@ def cmd_compare(args):
         except NeurofuzzyError as exc:
             rows.append({"method": Path(config_path).stem,
                          "status": "failed", "error": str(exc)})
-            worst = max(worst, _EXIT_CODES.get(type(exc), 2))
+            worst = max(worst, _exit_code_for(exc))
 
     test_size = baselines["test_size"]
     for base in baselines["rows"]:

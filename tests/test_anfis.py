@@ -13,9 +13,10 @@ from neurofuzzy.anfis import (AnfisEnsemble, AnfisModel, TrainingConfig,
                               predict_class, predict_classes, predict_score,
                               premise_gradient_step, premise_gradients,
                               train_hybrid, train_oaa)
+from neurofuzzy import anfis
 from neurofuzzy.anfis import _forward_batch
 from neurofuzzy.data import EncodedSample
-from neurofuzzy.errors import ModelFormatError
+from neurofuzzy.errors import ModelFormatError, NumericError
 from neurofuzzy.fuzzy import sugeno_infer
 from neurofuzzy.model_io import load_model, model_to_json, save_model
 
@@ -67,6 +68,34 @@ def toy_samples(n, rng, input_dim=5):
         c = (feats[0] > 0) * 2 + (feats[1] > 0)
         out.append(EncodedSample(features=feats, class_index=int(c)))
     return out
+
+
+def lse_cases(rng, n, trials):
+    """(model, X, t) for the consequent solve on two inputs.
+
+    First ``trials`` random designs, then the shapes the solve treats
+    apart: repeated rows with conflicting targets (folded, 16 distinct
+    rows for 12 coefficients) and a wide design (27 coefficients for 10
+    rows) that takes the dual form.
+    """
+    for _ in range(trials):
+        yield (random_model(rng, input_dim=2),
+               rng.uniform(-1, 1, size=(n, 2)), rng.normal(size=n))
+    X = np.repeat(rng.uniform(-1, 1, size=(16, 2)), 3, axis=0)
+    yield random_model(rng, input_dim=2), X, rng.normal(size=len(X))
+    yield (random_model(rng, input_dim=2, mfs=3),
+           rng.uniform(-1, 1, size=(10, 2)), rng.normal(size=10))
+
+
+def design_matrix(Wbar, X):
+    """Phi built column by column: [wbar_i, wbar_i * x_1, wbar_i * x_2]."""
+    n, R = Wbar.shape
+    Phi = np.zeros((n, R * 3))
+    for i in range(R):
+        Phi[:, i * 3] = Wbar[:, i]
+        Phi[:, i * 3 + 1] = Wbar[:, i] * X[:, 0]
+        Phi[:, i * 3 + 2] = Wbar[:, i] * X[:, 1]
+    return Phi
 
 
 class TestBuildGridModel:
@@ -187,18 +216,11 @@ class TestLse:
         # solve (Phi'Phi + ridge I) p = Phi' t directly
         rng = np.random.default_rng(2)
         ridge = 1e-8
-        for trial in range(10):
-            model = random_model(rng, input_dim=2)
-            X = rng.uniform(-1, 1, size=(40, 2))
-            t = rng.normal(size=40)
+        for model, X, t in lse_cases(rng, n=40, trials=10):
             _, _, Wbar, _, _ = _forward_batch(model, X)
-            n, R = X.shape[0], model.n_rules
-            Phi = np.zeros((n, R * 3))
-            for i in range(R):
-                Phi[:, i * 3] = Wbar[:, i]
-                Phi[:, i * 3 + 1] = Wbar[:, i] * X[:, 0]
-                Phi[:, i * 3 + 2] = Wbar[:, i] * X[:, 1]
-            p = np.linalg.solve(Phi.T @ Phi + ridge * np.eye(R * 3), Phi.T @ t)
+            Phi = design_matrix(Wbar, X)
+            p = np.linalg.solve(Phi.T @ Phi + ridge * np.eye(Phi.shape[1]),
+                                Phi.T @ t)
             want = float(np.sqrt(np.mean((Phi @ p - t) ** 2)))
 
             got = lse_consequents(model, X, t, ridge=ridge)
@@ -207,23 +229,53 @@ class TestLse:
     def test_no_perturbation_beats_solution(self):
         rng = np.random.default_rng(3)
         ridge = 1e-6
-        model = random_model(rng, input_dim=2)
-        X = rng.uniform(-1, 1, size=(30, 2))
-        t = rng.normal(size=30)
-        lse_consequents(model, X, t, ridge=ridge)
-        p_star = model.consequents.ravel()
+        for model, X, t in lse_cases(rng, n=30, trials=1):
+            lse_consequents(model, X, t, ridge=ridge)
+            p_star = model.consequents.ravel()
+            _, _, Wbar, _, _ = _forward_batch(model, X)
+            Phi = design_matrix(Wbar, X)
+
+            def penalized(p):
+                return float(np.sum((Phi @ p - t) ** 2) + ridge * np.sum(p**2))
+
+            best = penalized(p_star)
+            for _ in range(300):
+                delta = rng.normal(scale=10.0 ** rng.uniform(-4, 0),
+                                   size=p_star.shape)
+                assert penalized(p_star + delta) >= best
+
+    def test_ridge_free_rank_deficient_gives_minimum_norm(self):
+        # 5 distinct rows, each 4 times with its own targets, against 27
+        # coefficients: the pseudo-inverse of the unfolded design is the oracle
+        rng = np.random.default_rng(6)
+        model = random_model(rng, input_dim=2, mfs=3)
+        X = np.repeat(rng.uniform(-1, 1, size=(5, 2)), 4, axis=0)
+        t = rng.normal(size=len(X))
         _, _, Wbar, _, _ = _forward_batch(model, X)
-        X1 = np.hstack([np.ones((30, 1)), X])
-        Phi = (Wbar[:, :, None] * X1[:, None, :]).reshape(30, -1)
+        Phi = design_matrix(Wbar, X)
+        p = np.linalg.pinv(Phi) @ t
+        want = float(np.sqrt(np.mean((Phi @ p - t) ** 2)))
 
-        def penalized(p):
-            return float(np.sum((Phi @ p - t) ** 2) + ridge * np.sum(p**2))
+        got = lse_consequents(model, X, t, ridge=0.0)
+        assert math.isclose(got, want, abs_tol=1e-10)
+        np.testing.assert_allclose(model.consequents.ravel(), p, atol=1e-8)
 
-        best = penalized(p_star)
-        for _ in range(300):
-            delta = rng.normal(scale=10.0 ** rng.uniform(-4, 0),
-                               size=p_star.shape)
-            assert penalized(p_star + delta) >= best
+    def test_failed_factorization_still_solves_ridge_problem(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        ridge = 1e-3
+
+        def not_positive_definite(G):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        for model, X, t in lse_cases(rng, n=30, trials=1):
+            _, _, Wbar, _, _ = _forward_batch(model, X)
+            Phi = design_matrix(Wbar, X)
+            p = np.linalg.solve(Phi.T @ Phi + ridge * np.eye(Phi.shape[1]),
+                                Phi.T @ t)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "cholesky", not_positive_definite)
+                lse_consequents(model, X, t, ridge=ridge)
+            np.testing.assert_allclose(model.consequents.ravel(), p, atol=1e-9)
 
     def test_reduces_rmse(self):
         rng = np.random.default_rng(4)
@@ -246,6 +298,17 @@ class TestLse:
         model = build_grid_model("gbell", input_dim=2)
         with pytest.raises(ValueError):
             lse_consequents(model, np.zeros((0, 2)), np.zeros(0))
+
+    @pytest.mark.parametrize("bad", ["nan_input", "inf_input", "nan_target"])
+    def test_non_finite_batch_rejected(self, bad):
+        model = build_grid_model("gbell", input_dim=2)
+        X, t = np.zeros((4, 2)), np.zeros(4)
+        if bad == "nan_target":
+            t[2] = np.nan
+        else:
+            X[1, 0] = np.nan if bad == "nan_input" else np.inf
+        with pytest.raises(NumericError):
+            lse_consequents(model, X, t)
 
 
 class TestPremiseGradients:
@@ -316,6 +379,21 @@ class TestPremiseGradients:
             for mf in row:
                 assert mf.sigma_left >= 1e-6 and mf.sigma_right >= 1e-6
                 assert mf.c_left <= mf.c_right
+
+    @pytest.mark.parametrize("param, grad", [(1, np.nan), (0, np.inf)])
+    def test_non_finite_step_rejected(self, param, grad, monkeypatch):
+        # unchecked, a NaN center would be kept and a -inf width clamped
+        rng = np.random.default_rng(15)
+        model = random_model(rng, mf_shape="gauss2", input_dim=2)
+        before = model_to_json(model)
+        X = rng.uniform(-1, 1, size=(10, 2))
+        t = rng.normal(size=10)
+        loss, grads = premise_gradients(model, X, t)
+        grads[1][0][param] = grad
+        monkeypatch.setattr(anfis, "premise_gradients", lambda *_: (loss, grads))
+        with pytest.raises(NumericError):
+            premise_gradient_step(model, X, t, learn_rate=0.01)
+        assert model_to_json(model) == before
 
 
 class TestTrainHybrid:

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from neurofuzzy import cli
 from neurofuzzy.cli import main
+from neurofuzzy.errors import UndefinedKappaError
 from neurofuzzy.model_io import load_model, model_to_json
 
 LABELS = ["very_low", "low", "middle", "high"]
@@ -283,6 +285,16 @@ class TestCompare:
         assert "error" in rows[1]
         assert len(rows) == 11   # both attempts plus the published table
         assert "failed" in (out_dir / "comparison.txt").read_text()
+
+    def test_numeric_subclass_failure_exits_4(self, tmp_path, monkeypatch):
+        def undefined_kappa(config_path):
+            raise UndefinedKappaError("random accuracy is 1")
+
+        monkeypatch.setattr(cli, "_compare_run", undefined_kappa)
+        out_dir = tmp_path / "cmp"
+        assert main(["compare", "any.cfg", "--out-dir", str(out_dir)]) == 4
+        rows = json.loads((out_dir / "comparison.json").read_text())["rows"]
+        assert rows[0]["status"] == "failed"
 
     def test_kfold_config_runs_every_fold(self, tmp_path, dataset):
         config = write_config(
