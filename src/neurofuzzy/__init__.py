@@ -9,10 +9,9 @@ hybrid-trained rule network (``anfis``), the backpropagation baseline
 """
 
 from .anfis import (AnfisEnsemble, AnfisModel, TrainingConfig, TrainingTrace,
-                    anfis_forward, binary_decision, build_grid_model,
-                    class_scores, decode_values, ensemble_predict_classes,
-                    lse_consequents, predict_class, predict_classes,
-                    predict_score, premise_gradient_step, premise_gradients,
+                    anfis_forward, build_grid_model, class_scores,
+                    decode_values, ensemble_predict_classes, lse_consequents,
+                    predict_classes, premise_gradient_step, premise_gradients,
                     train_hybrid, train_oaa)
 from .data import (ATTRIBUTES, CLASS_LABELS, DatasetSplit, EncodedSample,
                    RawSample, binarize, class_distribution, kfold,

@@ -34,7 +34,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -56,15 +56,12 @@ __all__ = [
     "train_hybrid",
     "train_oaa",
     "decode_values",
-    "predict_class",
     "predict_classes",
-    "predict_score",
-    "binary_decision",
     "class_scores",
     "ensemble_predict_classes",
 ]
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 1          # of every model file kind; model_io checks it
 _MIN_WIDTH = 1e-6
 
 
@@ -79,18 +76,18 @@ class TrainingConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not self.learn_rate > 0:
-            raise ValueError(f"learn_rate must be > 0, got {self.learn_rate}")
-        if self.ridge < 0:
-            raise ValueError(f"ridge must be >= 0, got {self.ridge}")
-        if self.early_stop_rmse < 0:
+        # the comparisons below also reject nan and inf
+        if not 0 < self.learn_rate < math.inf:
             raise ValueError(
-                f"early_stop_rmse must be >= 0, got {self.early_stop_rmse}")
+                f"learn_rate must be finite and > 0, got {self.learn_rate}")
+        if not 0 <= self.ridge < math.inf:
+            raise ValueError(f"ridge must be finite and >= 0, got {self.ridge}")
+        if not 0 <= self.early_stop_rmse < math.inf:
+            raise ValueError(
+                f"early_stop_rmse must be finite and >= 0, got {self.early_stop_rmse}")
 
     def to_dict(self):
-        return {"epochs": self.epochs, "learn_rate": self.learn_rate,
-                "ridge": self.ridge, "seed": self.seed,
-                "early_stop_rmse": self.early_stop_rmse}
+        return asdict(self)
 
 
 @dataclass
@@ -100,9 +97,7 @@ class TrainingTrace:
     epochs_run: int = 0
 
     def to_dict(self):
-        return {"train_rmse": [float(v) for v in self.train_rmse],
-                "test_rmse": None if self.test_rmse is None else float(self.test_rmse),
-                "epochs_run": self.epochs_run}
+        return asdict(self)
 
 
 @dataclass(eq=False)
@@ -534,25 +529,10 @@ def decode_values(y):
     return values.astype(int) - 1
 
 
-def predict_class(model, x):
-    """Single-output decision for one input."""
-    return int(decode_values(anfis_forward(model, x).y))
-
-
 def predict_classes(model, X):
-    """Vectorized ``predict_class`` over rows of X."""
+    """Single-output class decisions for the rows of X."""
     y, _, _, _, _ = _forward_batch(model, np.asarray(X, dtype=float))
     return decode_values(y)
-
-
-def predict_score(model, x):
-    """Raw network output of a binary member, uncapped; the ROC score."""
-    return anfis_forward(model, x).y
-
-
-def binary_decision(model, x):
-    """A binary member's hard call: positive at score >= 0.5."""
-    return predict_score(model, x) >= 0.5
 
 
 def class_scores(model, X):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import make_dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -24,8 +24,8 @@ import numpy as np
 from .anfis import (AnfisEnsemble, AnfisModel, TrainingConfig,
                     build_grid_model, class_scores, predict_classes,
                     train_hybrid, train_oaa)
-from .data import (CLASS_LABELS, binarize, class_distribution, kfold,
-                   load_dataset, passthrough, predefined_split,
+from .data import (ATTRIBUTES, CLASS_LABELS, binarize, class_distribution,
+                   kfold, load_dataset, passthrough, predefined_split,
                    split_stratified, split_to_json, to_arrays)
 from .errors import (ConfigError, DataLoadError, ModelFormatError,
                      NeurofuzzyError, NumericError, SplitError)
@@ -70,32 +70,9 @@ CONFIG_SCHEMA = {
 }
 
 
-@dataclass
-class RunConfig:
-    dataset: str
-    encoding: str
-    threshold: float
-    split: str
-    ratio: float
-    seed: int
-    folds: int
-    fold: int
-    train_count: int
-    model: str
-    mf_shape: str
-    mfs_per_input: int
-    output_mode: str
-    consequent_order: str
-    epochs: int
-    learn_rate: float
-    ridge: float
-    early_stop: float
-    hidden: int
-    hidden_activation: str
-    output_activation: str
-    loss: str
-    batch_mode: str
-    out_dir: str
+RunConfig = make_dataclass(
+    "RunConfig", [(key, entry[0]) for key, entry in CONFIG_SCHEMA.items()])
+RunConfig.__module__ = __name__      # make_dataclass leaves it as "types"
 
 
 def _convert(key, raw):
@@ -165,21 +142,18 @@ def _load_encoded(cfg):
     return raw, passthrough(raw)
 
 
-def _build_splits(cfg, encoded):
-    """Splits to run, as a list of (train, test, split-or-None)."""
+def _build_split(cfg, encoded):
+    """The configured DatasetSplit, or None for split=none."""
     if cfg.split == "none":
-        return [(encoded, [], None)]
+        return None
     if cfg.split == "ratio":
-        split = split_stratified(encoded, cfg.ratio, cfg.seed)
-        return [(split.train, split.test, split)]
+        return split_stratified(encoded, cfg.ratio, cfg.seed)
     if cfg.split == "predefined":
-        split = predefined_split(encoded, cfg.train_count)
-        return [(split.train, split.test, split)]
+        return predefined_split(encoded, cfg.train_count)
     splits = kfold(encoded, cfg.folds, cfg.seed)
     if not 0 <= cfg.fold < cfg.folds:
         raise ConfigError(f"fold {cfg.fold} out of range for folds={cfg.folds}")
-    split = splits[cfg.fold]
-    return [(split.train, split.test, split)]
+    return splits[cfg.fold]
 
 
 def _input_range(cfg):
@@ -188,7 +162,7 @@ def _input_range(cfg):
 
 
 def _train_one(cfg, train_samples, test_samples):
-    """Returns (model, trace dict)."""
+    """Returns (model, trace dict, final train error lines to print)."""
     if cfg.model == "anfis":
         proto = build_grid_model(
             cfg.mf_shape, cfg.mfs_per_input, _input_range(cfg), seed=cfg.seed,
@@ -198,9 +172,12 @@ def _train_one(cfg, train_samples, test_samples):
                                early_stop_rmse=cfg.early_stop)
         if cfg.output_mode == "oaa":
             model, traces = train_oaa(proto, train_samples, test_samples, tconf)
-            return model, {"members": [t.to_dict() for t in traces]}
+            return model, {"members": [t.to_dict() for t in traces]}, [
+                f"member {k} final train rmse {t.train_rmse[-1]:.6f}"
+                for k, t in enumerate(traces)]
         model, trace = train_hybrid(proto, train_samples, test_samples, tconf)
-        return model, trace.to_dict()
+        return model, trace.to_dict(), [
+            f"final train rmse {trace.train_rmse[-1]:.6f}"]
 
     proto = build_mlp(hidden=cfg.hidden, seed=cfg.seed, input_dim=5,
                       n_classes=4, hidden_activation=cfg.hidden_activation,
@@ -209,7 +186,7 @@ def _train_one(cfg, train_samples, test_samples):
                               loss=cfg.loss, batch_mode=cfg.batch_mode,
                               seed=cfg.seed, early_stop_mse=cfg.early_stop)
     model, trace = train_backprop(proto, train_samples, test_samples, mconf)
-    return model, trace.to_dict()
+    return model, trace.to_dict(), [f"final train mse {trace.train_mse[-1]:.6f}"]
 
 
 def _model_outputs(model, X):
@@ -237,19 +214,14 @@ def _write_text(path, text):
     print(f"wrote {path}")
 
 
-def _final_error(trace_dict):
-    if "members" in trace_dict:
-        return [m["train_rmse"][-1] for m in trace_dict["members"]]
-    key = "train_rmse" if "train_rmse" in trace_dict else "train_mse"
-    return trace_dict[key][-1]
-
-
 def cmd_train(args):
     cfg = build_run_config(args.config, _overrides_from_args(args))
     _, encoded = _load_encoded(cfg)
-    train_samples, test_samples, split = _build_splits(cfg, encoded)[0]
+    split = _build_split(cfg, encoded)
+    train_samples, test_samples = ((encoded, []) if split is None
+                                   else (split.train, split.test))
 
-    model, trace_dict = _train_one(cfg, train_samples, test_samples)
+    model, trace_dict, final_lines = _train_one(cfg, train_samples, test_samples)
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -260,36 +232,32 @@ def cmd_train(args):
     if split is not None:
         _write_text(out_dir / "split.json", split_to_json(split))
 
-    final = _final_error(trace_dict)
-    if isinstance(final, list):
-        for k, value in enumerate(final):
-            print(f"member {k} final train rmse {value:.6f}")
-    else:
-        kind = "rmse" if cfg.model == "anfis" else "mse"
-        print(f"final train {kind} {final:.6f}")
+    print("\n".join(final_lines))
     if test_samples:
         right, n = _accuracy_line(model, test_samples)
         print(f"test accuracy {right / n:.4f} ({right}/{n})")
     return 0
 
 
-def _evaluation_samples(cfg, encoded):
-    if cfg.split == "none":
-        return encoded
-    train_samples, test_samples, _ = _build_splits(cfg, encoded)[0]
-    return test_samples
+def _scored_selection(args):
+    """Load the model and score the configured evaluation rows: the test
+    side of the split, or every row for split=none.
 
-
-def cmd_evaluate(args):
+    Returns (labels, predicted classes, per-class scores).
+    """
     model = load_model(args.model_file)
     cfg = build_run_config(args.config, _overrides_from_args(args))
     _, encoded = _load_encoded(cfg)
-    samples = _evaluation_samples(cfg, encoded)
+    split = _build_split(cfg, encoded)
+    samples = encoded if split is None else split.test
     if not samples:
         raise SplitError("evaluation selection is empty")
-
     X, _, _, labels = to_arrays(samples)
-    predicted, scores = _model_outputs(model, X)
+    return (labels, *_model_outputs(model, X))
+
+
+def cmd_evaluate(args):
+    labels, predicted, scores = _scored_selection(args)
     report = evaluate_multiclass(labels, predicted, scores,
                                  class_names=list(CLASS_LABELS))
     text = json.dumps(report.to_dict(), indent=2) + "\n"
@@ -301,18 +269,10 @@ def cmd_evaluate(args):
 
 
 def cmd_roc(args):
-    model = load_model(args.model_file)
-    cfg = build_run_config(args.config, _overrides_from_args(args))
-    _, encoded = _load_encoded(cfg)
-    samples = _evaluation_samples(cfg, encoded)
-    if not samples:
-        raise SplitError("evaluation selection is empty")
+    labels, _, scores = _scored_selection(args)
     k = args.class_index
     if not 0 <= k <= 3:
         raise ConfigError(f"class index {k} out of range 0..3")
-
-    X, _, _, labels = to_arrays(samples)
-    _, scores = _model_outputs(model, X)
     positives = (labels == k).astype(int)
     if positives.sum() in (0, len(positives)):
         raise NumericError(
@@ -346,16 +306,16 @@ def _compare_run(config_path):
     cfg = build_run_config(config_path)
     _, encoded = _load_encoded(cfg)
     if cfg.split == "kfold":
-        runs = [(s.train, s.test, s) for s in kfold(encoded, cfg.folds, cfg.seed)]
+        splits = kfold(encoded, cfg.folds, cfg.seed)
     else:
-        runs = _build_splits(cfg, encoded)
+        splits = [_build_split(cfg, encoded)]
 
     wrong_counts, sizes = [], []
-    for train_samples, test_samples, _ in runs:
-        if not test_samples:
+    for split in splits:
+        if split is None or not split.test:
             raise SplitError("comparison run has an empty test set")
-        model, _ = _train_one(cfg, train_samples, test_samples)
-        right, n = _accuracy_line(model, test_samples)
+        model, _, _ = _train_one(cfg, split.train, split.test)
+        right, n = _accuracy_line(model, split.test)
         wrong_counts.append(n - right)
         sizes.append(n)
 
@@ -365,7 +325,7 @@ def _compare_run(config_path):
     return {
         "method": f"{cfg.model}:{Path(config_path).stem}",
         "status": "computed",
-        "runs": len(runs),
+        "runs": len(splits),
         "test_size": sizes[0] if len(set(sizes)) == 1 else float(np.mean(sizes)),
         "per_run_wrong": wrong_counts,
         "per_run_cap": per_run_cap,
@@ -434,14 +394,13 @@ def cmd_dataset_stats(args):
     raw, _ = _load_encoded(cfg)
     counts = class_distribution(raw)
     matrix = np.array([s.features for s in raw])
-    names = ("STG", "SCG", "STR", "LPR", "PEG")
     stats = {
         "n_samples": len(raw),
         "class_counts": {label: int(c) for label, c in zip(CLASS_LABELS, counts)},
         "attributes": {
             name: {"min": float(col.min()), "max": float(col.max()),
                    "mean": float(col.mean())}
-            for name, col in zip(names, matrix.T)
+            for name, col in zip(ATTRIBUTES, matrix.T)
         },
     }
     sys.stdout.write(json.dumps(stats, indent=2) + "\n")

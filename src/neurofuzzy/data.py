@@ -120,15 +120,13 @@ class EncodedSample:
         return CLASS_LABELS[self.class_index]
 
 
-def load_dataset(path, format="csv"):
+def load_dataset(path):
     """Parse a dataset file into RawSamples, in file order.
 
     Raises DataLoadError for a missing/duplicated column, a non-numeric
     or out-of-range attribute, or an unrecognized label; messages name
     the 1-based data row and the column.
     """
-    if format != "csv":
-        raise DataLoadError(f"unsupported dataset format {format!r}")
     path = Path(path)
     if not path.is_file():
         raise DataLoadError(f"dataset file not found: {path}")
@@ -219,6 +217,14 @@ class DatasetSplit:
     test_indices: list
 
 
+def _make_split(samples, train_idx, test_idx, seed, ratio):
+    return DatasetSplit(
+        train=[samples[i] for i in train_idx],
+        test=[samples[i] for i in test_idx],
+        seed=seed, ratio=ratio,
+        train_indices=train_idx, test_indices=test_idx)
+
+
 def _indices_by_class(samples):
     buckets = {c: [] for c in range(len(CLASS_LABELS))}
     for idx, s in enumerate(samples):
@@ -249,11 +255,7 @@ def split_stratified(samples, ratio, seed):
         test_idx.extend(idxs[n_train:].tolist())
     train_idx.sort()
     test_idx.sort()
-    return DatasetSplit(
-        train=[samples[i] for i in train_idx],
-        test=[samples[i] for i in test_idx],
-        seed=seed, ratio=ratio,
-        train_indices=train_idx, test_indices=test_idx)
+    return _make_split(samples, train_idx, test_idx, seed, ratio)
 
 
 def predefined_split(samples, train_count=258):
@@ -266,11 +268,7 @@ def predefined_split(samples, train_count=258):
             f"train_count {train_count} invalid for {len(samples)} samples")
     train_idx = list(range(train_count))
     test_idx = list(range(train_count, len(samples)))
-    return DatasetSplit(
-        train=[samples[i] for i in train_idx],
-        test=[samples[i] for i in test_idx],
-        seed=0, ratio=train_count / len(samples),
-        train_indices=train_idx, test_indices=test_idx)
+    return _make_split(samples, train_idx, test_idx, 0, train_count / len(samples))
 
 
 def kfold(samples, k, seed):
@@ -303,11 +301,8 @@ def kfold(samples, k, seed):
     for f in range(k):
         test_idx = sorted(fold_members[f])
         train_idx = sorted(i for g in range(k) if g != f for i in fold_members[g])
-        splits.append(DatasetSplit(
-            train=[samples[i] for i in train_idx],
-            test=[samples[i] for i in test_idx],
-            seed=seed, ratio=len(train_idx) / len(samples),
-            train_indices=train_idx, test_indices=test_idx))
+        splits.append(_make_split(samples, train_idx, test_idx, seed,
+                                  len(train_idx) / len(samples)))
     return splits
 
 
@@ -348,8 +343,5 @@ def split_from_json(text, samples):
     for i in train_idx + test_idx:
         if not 0 <= i < n:
             raise SplitError(f"split index {i} out of range for {n} samples")
-    return DatasetSplit(
-        train=[samples[i] for i in train_idx],
-        test=[samples[i] for i in test_idx],
-        seed=int(payload["seed"]), ratio=float(payload["ratio"]),
-        train_indices=train_idx, test_indices=test_idx)
+    return _make_split(samples, train_idx, test_idx,
+                       int(payload["seed"]), float(payload["ratio"]))

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "MembershipFunction",
     "GeneralizedBell",
     "TwoSidedGaussian",
     "Triangular",
@@ -38,8 +39,27 @@ __all__ = [
 ]
 
 
+class MembershipFunction:
+    """Parameter access shared by the shapes.
+
+    A shape's dataclass fields are its parameters, in order, so the
+    parameter vector, the stepped copy and the serialized form all
+    derive from them.
+    """
+
+    def params(self):
+        return np.array([getattr(self, f.name) for f in dataclasses.fields(self)])
+
+    def with_params(self, p):
+        return dataclasses.replace(self, **{
+            f.name: float(v) for f, v in zip(dataclasses.fields(self), p)})
+
+    def to_dict(self):
+        return {"shape": self.shape_name, **dataclasses.asdict(self)}
+
+
 @dataclass(frozen=True)
-class GeneralizedBell:
+class GeneralizedBell(MembershipFunction):
     """Bell curve centered at ``c`` with half-width ``a`` and slope ``b``.
 
     degree(c) = 1, degree(c +/- a) = 0.5, symmetric about ``c``.
@@ -89,18 +109,9 @@ class GeneralizedBell:
                         out=g_b, where=off_center)
         return mu, np.stack([g_a, g_b, g_c])
 
-    def params(self):
-        return np.array([self.a, self.b, self.c])
-
-    def with_params(self, p):
-        return dataclasses.replace(self, a=float(p[0]), b=float(p[1]), c=float(p[2]))
-
-    def to_dict(self):
-        return {"shape": self.shape_name, "a": self.a, "b": self.b, "c": self.c}
-
 
 @dataclass(frozen=True)
-class TwoSidedGaussian:
+class TwoSidedGaussian(MembershipFunction):
     """Gaussian rise to a plateau [c_left, c_right], Gaussian fall after it."""
 
     sigma_left: float
@@ -143,23 +154,9 @@ class TwoSidedGaussian:
         g_cr = np.where(on_right, mu * dr / self.sigma_right**2, 0.0)
         return mu, np.stack([g_sl, g_cl, g_sr, g_cr])
 
-    def params(self):
-        return np.array([self.sigma_left, self.c_left,
-                         self.sigma_right, self.c_right])
-
-    def with_params(self, p):
-        return dataclasses.replace(
-            self, sigma_left=float(p[0]), c_left=float(p[1]),
-            sigma_right=float(p[2]), c_right=float(p[3]))
-
-    def to_dict(self):
-        return {"shape": self.shape_name,
-                "sigma_left": self.sigma_left, "c_left": self.c_left,
-                "sigma_right": self.sigma_right, "c_right": self.c_right}
-
 
 @dataclass(frozen=True)
-class Triangular:
+class Triangular(MembershipFunction):
     """Piecewise-linear hat: 0 outside [left, right], 1 at peak."""
 
     left: float
@@ -179,17 +176,6 @@ class Triangular:
         x = np.asarray(x, dtype=float)
         # interp clamps to the 0-valued endpoints outside [left, right]
         return np.interp(x, [self.left, self.peak, self.right], [0.0, 1.0, 0.0])
-
-    def params(self):
-        return np.array([self.left, self.peak, self.right])
-
-    def with_params(self, p):
-        return dataclasses.replace(
-            self, left=float(p[0]), peak=float(p[1]), right=float(p[2]))
-
-    def to_dict(self):
-        return {"shape": self.shape_name,
-                "left": self.left, "peak": self.peak, "right": self.right}
 
 
 MF_SHAPES = {

@@ -228,13 +228,13 @@ def _rate(num, den):
     return num / den if den > 0 else None
 
 
-def evaluate_multiclass(true_labels, predicted, scores=None, n_classes=4,
-                        class_names=None):
+def evaluate_multiclass(true_labels, predicted, scores=None, class_names=None):
     """Full evaluation of hard predictions, optionally with ROC scores.
 
-    ``scores`` is an (n_samples, n_classes) array of per-class ranking
-    scores; without it the AUC column is left null.  Per-class rows
-    carry the one-against-all statistics in reporting column order.
+    Labels are class indices 0..3.  ``scores`` is an (n_samples, 4)
+    array of per-class ranking scores; without it the AUC column is left
+    null.  Per-class rows carry the one-against-all statistics in
+    reporting column order.
     """
     true_labels = np.asarray(true_labels)
     predicted = np.asarray(predicted)
@@ -244,7 +244,7 @@ def evaluate_multiclass(true_labels, predicted, scores=None, n_classes=4,
         raise ValueError("label lists must be non-empty")
 
     n = len(true_labels)
-    confusion = np.zeros((n_classes, n_classes), dtype=int)
+    confusion = np.zeros((4, 4), dtype=int)
     for t, p in zip(true_labels, predicted):
         confusion[t, p] += 1
     right = int(np.trace(confusion))
@@ -252,7 +252,7 @@ def evaluate_multiclass(true_labels, predicted, scores=None, n_classes=4,
     mwcs, cap = mwcs_cap([wrong], n)
 
     rows = []
-    for k in range(n_classes):
+    for k in range(4):
         c = oaa_confusion(true_labels, predicted, k)
         rand = random_accuracy(c)
         if rand >= 1.0:

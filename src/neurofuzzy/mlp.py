@@ -15,10 +15,12 @@ from a seeded generator, so a seed pins the whole training run.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .anfis import MODEL_FORMAT_VERSION
 from .data import to_arrays
 from .errors import NumericError
 
@@ -36,8 +38,6 @@ __all__ = [
     "mlp_predict",
     "sweep_hidden",
 ]
-
-MODEL_FORMAT_VERSION = 1
 
 
 def tansig(x):
@@ -79,21 +79,21 @@ class MlpTrainingConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        # rate 0 is allowed: a null step leaves the weights unchanged
-        if self.learn_rate < 0:
-            raise ValueError(f"learn_rate must be >= 0, got {self.learn_rate}")
+        # rate 0 is allowed: a null step leaves the weights unchanged;
+        # the comparisons also reject nan and inf
+        if not 0 <= self.learn_rate < math.inf:
+            raise ValueError(
+                f"learn_rate must be finite and >= 0, got {self.learn_rate}")
         if self.loss not in ("mse", "cross_entropy"):
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.batch_mode not in ("full", "stochastic"):
             raise ValueError(f"unknown batch_mode {self.batch_mode!r}")
-        if self.early_stop_mse < 0:
+        if not 0 <= self.early_stop_mse < math.inf:
             raise ValueError(
-                f"early_stop_mse must be >= 0, got {self.early_stop_mse}")
+                f"early_stop_mse must be finite and >= 0, got {self.early_stop_mse}")
 
     def to_dict(self):
-        return {"epochs": self.epochs, "learn_rate": self.learn_rate,
-                "loss": self.loss, "batch_mode": self.batch_mode,
-                "seed": self.seed, "early_stop_mse": self.early_stop_mse}
+        return asdict(self)
 
 
 @dataclass
@@ -103,9 +103,7 @@ class MlpTrainingTrace:
     epochs_run: int = 0
 
     def to_dict(self):
-        return {"train_mse": [float(v) for v in self.train_mse],
-                "test_mse": None if self.test_mse is None else float(self.test_mse),
-                "epochs_run": self.epochs_run}
+        return asdict(self)
 
 
 @dataclass(eq=False)

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .anfis import AnfisEnsemble, AnfisModel
-from .anfis import MODEL_FORMAT_VERSION as _ANFIS_VERSION
+from .anfis import MODEL_FORMAT_VERSION, AnfisEnsemble, AnfisModel
 from .errors import ModelFormatError
 from .mlp import MlpModel
 
@@ -42,10 +41,10 @@ def load_model(path):
         raise ModelFormatError(f"{path}: expected a JSON object at top level")
 
     version = raw.get("format_version")
-    if version != _ANFIS_VERSION:
+    if version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(
             f"{path}: unsupported format_version {version!r} "
-            f"(this build reads version {_ANFIS_VERSION})")
+            f"(this build reads version {MODEL_FORMAT_VERSION})")
     kind = raw.get("kind")
     try:
         if kind == "anfis":

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from neurofuzzy.anfis import (AnfisEnsemble, AnfisModel, TrainingConfig,
-                              anfis_forward, binary_decision, build_grid_model,
-                              class_scores, decode_values,
-                              ensemble_predict_classes, lse_consequents,
-                              predict_class, predict_classes, predict_score,
+                              anfis_forward, build_grid_model, class_scores,
+                              decode_values, ensemble_predict_classes,
+                              lse_consequents, predict_classes,
                               premise_gradient_step, premise_gradients,
                               train_hybrid, train_oaa)
 from neurofuzzy import anfis
@@ -431,9 +430,9 @@ class TestTrainHybrid:
         trained, trace = train_hybrid(
             model, samples, [], TrainingConfig(epochs=50, learn_rate=0.01))
         assert trace.train_rmse[-1] < 0.1
-        right = sum(predict_class(trained, s.features) == s.class_index
-                    for s in samples)
-        assert right == len(samples)
+        X = np.array([s.features for s in samples])
+        np.testing.assert_array_equal(predict_classes(trained, X),
+                                      [s.class_index for s in samples])
 
     def test_deterministic(self):
         rng = np.random.default_rng(23)
@@ -467,6 +466,11 @@ class TestTrainHybrid:
             TrainingConfig(learn_rate=0.0)
         with pytest.raises(ValueError):
             TrainingConfig(ridge=-1.0)
+        for bad in ({"learn_rate": math.inf}, {"learn_rate": math.nan},
+                    {"ridge": math.inf}, {"ridge": math.nan},
+                    {"early_stop_rmse": math.inf}, {"early_stop_rmse": math.nan}):
+            with pytest.raises(ValueError):
+                TrainingConfig(**bad)
 
     def test_oaa_members_cover_classes(self):
         rng = np.random.default_rng(25)
@@ -498,16 +502,6 @@ class TestDecoding:
         y, _, _, _, _ = _forward_batch(model, X)
         np.testing.assert_array_equal(predict_classes(model, X),
                                       decode_values(y))
-
-    def test_binary_decision_threshold(self):
-        model = constant_output_model(0.5)
-        assert binary_decision(model, np.zeros(2)) is True
-        model = constant_output_model(0.4999)
-        assert binary_decision(model, np.zeros(2)) is False
-
-    def test_predict_score_is_raw_output(self):
-        model = constant_output_model(0.73)
-        assert predict_score(model, np.zeros(2)) == pytest.approx(0.73)
 
     def test_single_mode_scores_rank_by_distance(self):
         model = constant_output_model(2.9)

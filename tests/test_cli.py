@@ -10,6 +10,12 @@ from neurofuzzy.errors import UndefinedKappaError
 from neurofuzzy.model_io import load_model, model_to_json
 
 LABELS = ["very_low", "low", "middle", "high"]
+# serialized key order, pinned: model files and traces are byte-compared
+ANFIS_TRAINING_KEYS = ["epochs", "learn_rate", "ridge", "seed", "early_stop_rmse"]
+MLP_TRAINING_KEYS = ["epochs", "learn_rate", "loss", "batch_mode", "seed",
+                     "early_stop_mse"]
+ANFIS_TRACE_KEYS = ["train_rmse", "test_rmse", "epochs_run"]
+MLP_TRACE_KEYS = ["train_mse", "test_mse", "epochs_run"]
 
 
 def toy_rows(n=48, seed=0, classes=(0, 1, 2, 3)):
@@ -76,8 +82,11 @@ class TestTrain:
     def test_writes_model_trace_and_split(self, trained, capsys):
         out_dir = trained["out_dir"]
         model = load_model(out_dir / "model.json")
-        assert json.loads((out_dir / "model.json").read_text())["kind"] == "mlp"
+        payload = json.loads((out_dir / "model.json").read_text())
+        assert payload["kind"] == "mlp"
+        assert list(payload["training"]) == MLP_TRAINING_KEYS
         trace = json.loads((out_dir / "trace.json").read_text())
+        assert list(trace) == MLP_TRACE_KEYS
         assert trace["epochs_run"] <= 300
         split = json.loads((out_dir / "split.json").read_text())
         assert len(split["train_indices"]) + len(split["test_indices"]) == 48
@@ -103,9 +112,46 @@ class TestTrain:
         payload = json.loads((out_dir / "model.json").read_text())
         assert payload["kind"] == "anfis"
         assert payload["output_mode"] == "single"
+        assert list(payload["training"]) == ANFIS_TRAINING_KEYS
+        trace = json.loads((out_dir / "trace.json").read_text())
+        assert list(trace) == ANFIS_TRACE_KEYS
         out = capsys.readouterr().out
         assert "final train rmse" in out
         assert "test accuracy" in out
+
+    def test_anfis_oaa_mode(self, tmp_path, dataset, capsys):
+        out_dir = tmp_path / "oaa"
+        config = write_config(
+            tmp_path / "oaa.cfg", dataset=dataset, model="anfis",
+            output_mode="oaa", epochs=2, split="ratio", ratio=0.75, seed=3,
+            out_dir=out_dir)
+        assert main(["train", "--config", config]) == 0
+        payload = json.loads((out_dir / "model.json").read_text())
+        assert payload["output_mode"] == "oaa"
+        for member in payload["members"]:
+            assert list(member["training"]) == ANFIS_TRAINING_KEYS
+        trace = json.loads((out_dir / "trace.json").read_text())
+        assert list(trace) == ["members"]
+        for member in trace["members"]:
+            assert list(member) == ANFIS_TRACE_KEYS
+        out = capsys.readouterr().out.splitlines()
+        assert [line.rsplit(" ", 1)[0] for line in out[3:7]] == [
+            f"member {k} final train rmse" for k in range(4)]
+
+    @pytest.mark.parametrize("model,flag,value", [
+        ("anfis", "--ridge", "nan"),
+        ("anfis", "--early-stop", "nan"),
+        ("anfis", "--ridge", "inf"),
+        ("anfis", "--learn-rate", "inf"),
+        ("mlp", "--learn-rate", "nan"),
+    ])
+    def test_non_finite_training_value_exits_2(self, tmp_path, dataset,
+                                               model, flag, value):
+        out_dir = tmp_path / "run"
+        assert main(["train", "--dataset", str(dataset), "--model", model,
+                     "--epochs", "1", flag, value,
+                     "--out-dir", str(out_dir)]) == 2
+        assert not (out_dir / "model.json").exists()
 
     def test_missing_dataset_exits_3_and_writes_nothing(self, tmp_path):
         out_dir = tmp_path / "never"

@@ -249,6 +249,10 @@ class TestTraining:
             MlpTrainingConfig(loss="hinge")
         with pytest.raises(ValueError):
             MlpTrainingConfig(batch_mode="minibatch")
+        for bad in ({"learn_rate": math.inf}, {"learn_rate": math.nan},
+                    {"early_stop_mse": math.inf}, {"early_stop_mse": math.nan}):
+            with pytest.raises(ValueError):
+                MlpTrainingConfig(**bad)
 
 
 class TestScoresAndPrediction:
