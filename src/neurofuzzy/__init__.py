@@ -1,11 +1,11 @@
 """Neuro-fuzzy and dense-network classifiers for the five-attribute
 user knowledge-level task, with a shared evaluation pipeline.
 
-The pieces compose bottom-up: membership functions and Sugeno
-inference (``fuzzy``), dataset ingestion and splitting (``data``), the
-hybrid-trained rule network (``anfis``), the backpropagation baseline
-(``mlp``), evaluation metrics (``metrics``), model persistence
-(``model_io``), and the ``neurofuzzy`` command line (``cli``).
+The pieces compose bottom-up: membership functions (``fuzzy``),
+dataset ingestion and splitting (``data``), the hybrid-trained rule
+network (``anfis``), the backpropagation baseline (``mlp``), evaluation
+metrics (``metrics``), model persistence (``model_io``), and the
+``neurofuzzy`` command line (``cli``).
 """
 
 from .anfis import (AnfisEnsemble, AnfisModel, TrainingConfig, TrainingTrace,
@@ -21,9 +21,8 @@ from .data import (ATTRIBUTES, CLASS_LABELS, DatasetSplit, EncodedSample,
 from .errors import (ConfigError, DataLoadError, ModelFormatError,
                      NeurofuzzyError, NumericError, SplitError,
                      UndefinedKappaError)
-from .fuzzy import (MF_SHAPES, GeneralizedBell, SugenoRule, Triangular,
-                    TwoSidedGaussian, firing_strengths, mf_from_dict,
-                    normalize_weights, sugeno_infer)
+from .fuzzy import (MF_SHAPES, GeneralizedBell, Triangular, TwoSidedGaussian,
+                    mf_from_dict, normalize_weights)
 from .metrics import (BinaryConfusion, EvalReport, RocCurve, auc,
                       cap_consistent, cohen_kappa, evaluate_multiclass,
                       mwcs_cap, oaa_confusion, random_accuracy, roc_curve,

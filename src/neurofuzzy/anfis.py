@@ -14,15 +14,18 @@ The network alternates two parameter groups each epoch:
   train consequents only).
 
 Array conventions, for a model with d inputs, M membership functions
-per input, and R = M^d rules:
+per input, K parameters per function, and R = M^d rules:
 
     X       (n, d)       encoded sample features
-    D       (n, d, M)    membership degrees per input
+    P       (d, M, K)    premise parameters, in ``params()`` order
+    D       (d, M, n)    membership degrees: the bank's (d, M, 1) fields
+                         evaluated on X.T[:, None, :]
     W       (n, R)       rule firing strengths (product AND)
     Wbar    (n, R)       normalized strengths (uniform fallback rows
                          where the total strength is exactly zero)
     F       (n, R)       per-rule consequent values  p0 + p . x
     y       (n,)         network output, sum_i Wbar * F
+    grads   (d, M, K)    loss gradient in P
 
 A "single" model regresses the class value 1..4 and classifies by
 rounding; a "binary" model is one member of a one-against-all ensemble
@@ -40,7 +43,7 @@ import numpy as np
 
 from .data import to_arrays
 from .errors import NumericError
-from .fuzzy import MF_SHAPES, SugenoRule, mf_from_dict
+from .fuzzy import MF_SHAPES, mf_from_dict
 
 __all__ = [
     "AnfisModel",
@@ -62,7 +65,6 @@ __all__ = [
 ]
 
 MODEL_FORMAT_VERSION = 1          # of every model file kind; model_io checks it
-_MIN_WIDTH = 1e-6
 
 
 @dataclass
@@ -119,13 +121,6 @@ class AnfisModel:
     def n_rules(self):
         return len(self.antecedents)
 
-    @property
-    def rules(self):
-        """The rule base as explicit Sugeno rules (reference path)."""
-        return [SugenoRule(antecedent=tuple(int(a) for a in ant),
-                           consequent=tuple(float(p) for p in cons))
-                for ant, cons in zip(self.antecedents, self.consequents)]
-
     def to_dict(self):
         return {
             "format_version": MODEL_FORMAT_VERSION,
@@ -168,6 +163,13 @@ class AnfisModel:
                 or any(len(row) != model.mfs_per_input
                        for row in model.mf_bank)):
             raise ValueError("inconsistent rule table dimensions")
+        if not np.all((model.antecedents >= 0)
+                      & (model.antecedents < model.mfs_per_input)):
+            raise ValueError("antecedent index out of range")
+        premises = MF_SHAPES[model.mf_shape].stack(model.mf_bank)
+        if not (np.all(np.isfinite(premises))
+                and np.all(np.isfinite(model.consequents))):
+            raise ValueError("non-finite premise or consequent parameters")
         return model
 
 
@@ -212,19 +214,8 @@ def build_grid_model(mf_shape, mfs_per_input=2, input_range=(-1.0, 1.0),
     if not hi > lo:
         raise ValueError(f"input_range must satisfy hi > lo, got {input_range}")
 
-    spacing = (hi - lo) / (mfs_per_input - 1)
-    centers = [lo + m * spacing for m in range(mfs_per_input)]
-
-    def make_mf(c):
-        if mf_shape == "gbell":
-            return MF_SHAPES["gbell"](a=spacing / 2.0, b=2.0, c=c)
-        if mf_shape == "gauss2":
-            sigma = spacing / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-            return MF_SHAPES["gauss2"](sigma_left=sigma, c_left=c,
-                                       sigma_right=sigma, c_right=c)
-        return MF_SHAPES["triangular"](left=c - spacing, peak=c, right=c + spacing)
-
-    mf_bank = [[make_mf(c) for c in centers] for _ in range(input_dim)]
+    mf_bank = [MF_SHAPES[mf_shape].grid(lo, hi, mfs_per_input)
+               for _ in range(input_dim)]
     antecedents = np.array(
         list(itertools.product(range(mfs_per_input), repeat=input_dim)),
         dtype=int)
@@ -236,13 +227,10 @@ def build_grid_model(mf_shape, mfs_per_input=2, input_range=(-1.0, 1.0),
         output_mode=output_mode, positive_class=positive_class, seed=seed)
 
 
-def _membership_matrix(model, X):
-    n = X.shape[0]
-    D = np.empty((n, model.input_dim, model.mfs_per_input))
-    for j in range(model.input_dim):
-        for m in range(model.mfs_per_input):
-            D[:, j, m] = model.mf_bank[j][m].degree(X[:, j])
-    return D
+def _firing(model, D, skip=None):
+    """(R, n): each rule's product of degrees over the inputs but ``skip``."""
+    return math.prod(D[j][model.antecedents[:, j]]
+                     for j in range(model.input_dim) if j != skip)
 
 
 def _forward_batch(model, X):
@@ -251,10 +239,10 @@ def _forward_batch(model, X):
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ValueError(
             f"expected (n, {model.input_dim}) inputs, got {X.shape}")
-    D = _membership_matrix(model, X)
-    W = np.ones((X.shape[0], model.n_rules))
-    for j in range(model.input_dim):
-        W = W * D[:, j, model.antecedents[:, j]]
+    shape = MF_SHAPES[model.mf_shape]
+    bank = shape.bank(shape.stack(model.mf_bank))
+    D = bank.degree(np.ascontiguousarray(X.T)[:, None, :])
+    W = np.ascontiguousarray(_firing(model, D).T)
     S = W.sum(axis=1)
     degenerate = S == 0.0
     Wbar = np.empty_like(W)
@@ -381,23 +369,23 @@ def premise_gradients(model, X, t):
     """Mean-squared-error loss and its gradient in the premise parameters.
 
     Returns ``(loss, grads)`` where ``grads[j]`` has one row per
-    membership function of input j.  Rows where the total firing
-    strength is exactly zero sit on the uniform fallback and contribute
-    no gradient.  Triangular banks return zero gradients.
+    membership function of input j, (d, M, K) in all.  Rows where the
+    total firing strength is exactly zero sit on the uniform fallback
+    and contribute no gradient.  Triangular banks return zero gradients.
     """
     X = np.asarray(X, dtype=float)
     t = np.asarray(t, dtype=float)
-    n = len(X)
+    n, d, M = len(X), model.input_dim, model.mfs_per_input
     y, W, Wbar, F, degenerate = _forward_batch(model, X)
     loss = float(np.mean((y - t) ** 2))
 
-    n_params = len(model.mf_bank[0][0].params())
-    grads = [np.zeros((model.mfs_per_input, n_params))
-             for _ in range(model.input_dim)]
-    if not model.mf_bank[0][0].trainable:
-        return loss, grads
+    shape = MF_SHAPES[model.mf_shape]
+    P = shape.stack(model.mf_bank)
+    if not shape.trainable:
+        return loss, np.zeros_like(P)
 
-    D = _membership_matrix(model, X)
+    D, dD = shape.bank(P).degree_and_param_grads(
+        np.ascontiguousarray(X.T)[:, None, :])
     dEdy = 2.0 * (y - t) / n
     S = W.sum(axis=1)
     ok = ~degenerate
@@ -405,38 +393,13 @@ def premise_gradients(model, X, t):
     dEdW = np.zeros_like(W)
     dEdW[ok] = (dEdy[ok, None] * (F[ok] - y[ok, None])) / S[ok, None]
 
-    M = model.mfs_per_input
-    for j in range(model.input_dim):
-        excl = np.ones_like(W)
-        for jp in range(model.input_dim):
-            if jp != j:
-                excl = excl * D[:, jp, model.antecedents[:, jp]]
-        G = dEdW * excl                                   # (n, R)
-        onehot = model.antecedents[:, j][:, None] == np.arange(M)[None, :]
-        A = G @ onehot                                    # (n, M)
-        for m in range(M):
-            _, dmu = model.mf_bank[j][m].degree_and_param_grads(X[:, j])
-            grads[j][m] = dmu @ A[:, m]
-    return loss, grads
-
-
-def _clamped_step(mf, new_params):
-    """Build the stepped function, repairing invariants first.
-
-    Widths are clamped positive; a crossed two-sided plateau is fixed
-    by swapping sides before construction, which would otherwise
-    reject the parameters.
-    """
-    p = np.array(new_params, dtype=float)
-    if mf.shape_name == "gbell":
-        p[0] = max(p[0], _MIN_WIDTH)          # width
-        p[1] = max(p[1], _MIN_WIDTH)          # slope
-    elif mf.shape_name == "gauss2":
-        p[0] = max(p[0], _MIN_WIDTH)
-        p[2] = max(p[2], _MIN_WIDTH)
-        if p[1] > p[3]:                       # plateau edges crossed: swap sides
-            p = np.array([p[2], p[3], p[0], p[1]])
-    return mf.with_params(p)
+    # dE/dD[j, m] sums dE/dW over the rules that use MF m on input j,
+    # each times the product of that rule's degrees on the other inputs
+    onehot = np.eye(M)[model.antecedents.T]                      # (d, R, M)
+    dEdD = np.empty_like(D)
+    for j in range(d):
+        dEdD[j] = onehot[j].T @ (dEdW.T * _firing(model, D, skip=j))
+    return loss, np.einsum("kjmn,jmn->jmk", dD, dEdD)
 
 
 def premise_gradient_step(model, X, t, learn_rate):
@@ -448,16 +411,14 @@ def premise_gradient_step(model, X, t, learn_rate):
     gradient or stepped parameter raises ``NumericError`` and leaves the
     model unchanged.
     """
-    if not model.mf_bank[0][0].trainable:
+    shape = MF_SHAPES[model.mf_shape]
+    if not shape.trainable:
         return model
     _, grads = premise_gradients(model, X, t)
-    stepped = [[mf.params() - learn_rate * g for mf, g in zip(row, grads[j])]
-               for j, row in enumerate(model.mf_bank)]
-    if not all(np.all(np.isfinite(p)) for row in stepped for p in row):
+    P = shape.stack(model.mf_bank) - learn_rate * grads
+    if not np.all(np.isfinite(P)):
         raise NumericError("premise step produced non-finite parameters")
-    for j, row in enumerate(stepped):
-        for m, p in enumerate(row):
-            model.mf_bank[j][m] = _clamped_step(model.mf_bank[j][m], p)
+    model.mf_bank = shape.unstack(shape.repair(P))
     return model
 
 

@@ -209,6 +209,16 @@ def _accuracy_line(model, samples):
     return right, len(samples)
 
 
+def _make_out_dir(path):
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot create output directory {out_dir}: {exc}") from exc
+    return out_dir
+
+
 def _write_text(path, text):
     Path(path).write_text(text, encoding="utf-8")
     print(f"wrote {path}")
@@ -220,11 +230,10 @@ def cmd_train(args):
     split = _build_split(cfg, encoded)
     train_samples, test_samples = ((encoded, []) if split is None
                                    else (split.train, split.test))
+    out_dir = _make_out_dir(cfg.out_dir)
 
     model, trace_dict, final_lines = _train_one(cfg, train_samples, test_samples)
 
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_model(model, out_dir / "model.json")
     print(f"wrote {out_dir / 'model.json'}")
     _write_text(out_dir / "trace.json",
@@ -351,6 +360,7 @@ def _format_compare_text(rows):
 
 def cmd_compare(args):
     baselines = _load_baselines(args.baselines)
+    out_dir = _make_out_dir(args.out_dir)
     rows, worst = [], 0
     for config_path in args.configs:
         try:
@@ -380,8 +390,6 @@ def cmd_compare(args):
 
     payload = {"source": baselines.get("source"), "rows": rows}
     text = _format_compare_text(rows)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_text(out_dir / "comparison.json",
                 json.dumps(payload, indent=2) + "\n")
     _write_text(out_dir / "comparison.txt", text)

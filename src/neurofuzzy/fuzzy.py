@@ -1,4 +1,4 @@
-"""Fuzzy membership functions and Takagi-Sugeno inference primitives.
+"""Fuzzy membership functions.
 
 Three parametric membership shapes are provided:
 
@@ -13,14 +13,16 @@ differentiable in the premise parameters; the bell and two-sided
 Gaussian expose analytic parameter gradients for that purpose, while
 triangular premises are treated as fixed.
 
-The functions here are the scalar/reference path; ``anfis`` re-implements
-the forward pass vectorized over samples and is tested to agree with
-``sugeno_infer``.
+A shape's fields may also be arrays, a bank of functions: ``degree``
+and ``degree_and_param_grads`` broadcast them against the input, so
+``anfis`` evaluates all d x M functions in one call.  Each shape also
+owns its grid placement (``on_grid``) and its step ``repair``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,13 +32,12 @@ __all__ = [
     "GeneralizedBell",
     "TwoSidedGaussian",
     "Triangular",
-    "SugenoRule",
     "MF_SHAPES",
     "mf_from_dict",
-    "firing_strengths",
     "normalize_weights",
-    "sugeno_infer",
 ]
+
+MIN_WIDTH = 1e-6                  # floor a repaired width or slope keeps
 
 
 class MembershipFunction:
@@ -47,6 +48,8 @@ class MembershipFunction:
     derive from them.
     """
 
+    widths = ()                   # parameter indexes kept >= MIN_WIDTH
+
     def params(self):
         return np.array([getattr(self, f.name) for f in dataclasses.fields(self)])
 
@@ -56,6 +59,40 @@ class MembershipFunction:
 
     def to_dict(self):
         return {"shape": self.shape_name, **dataclasses.asdict(self)}
+
+    @classmethod
+    def grid(cls, lo, hi, count):
+        """``count`` functions centered evenly over [lo, hi], each
+        crossing its neighbors near degree 0.5."""
+        spacing = (hi - lo) / (count - 1)
+        return [cls.on_grid(lo + m * spacing, spacing) for m in range(count)]
+
+    @classmethod
+    def stack(cls, rows):
+        """Parameters (d, M, K) of a grid of functions of this shape."""
+        if any(type(mf) is not cls for row in rows for mf in row):
+            raise ValueError(f"a {cls.shape_name} bank holds another shape")
+        return np.array([[mf.params() for mf in row] for row in rows])
+
+    @classmethod
+    def bank(cls, P):
+        """One function whose fields are the (d, M, 1) columns of ``P``."""
+        bank = object.__new__(cls)      # P is from stack: already checked
+        for f, column in zip(dataclasses.fields(cls), np.moveaxis(P, -1, 0)):
+            object.__setattr__(bank, f.name, column[..., None])
+        return bank
+
+    @classmethod
+    def unstack(cls, P):
+        """The grid of per-function records with parameters ``P``."""
+        return [[cls(*p) for p in row] for row in P.tolist()]
+
+    @classmethod
+    def repair(cls, P):
+        """Stepped parameters (d, M, K), widths clamped to ``MIN_WIDTH``."""
+        P = P.copy()
+        P[..., cls.widths] = np.maximum(P[..., cls.widths], MIN_WIDTH)
+        return P
 
 
 @dataclass(frozen=True)
@@ -71,12 +108,17 @@ class GeneralizedBell(MembershipFunction):
 
     shape_name = "gbell"
     trainable = True
+    widths = (0, 1)
 
     def __post_init__(self):
         if not (self.a > 0):
             raise ValueError(f"bell width a must be > 0, got {self.a}")
         if not (self.b > 0):
             raise ValueError(f"bell slope b must be > 0, got {self.b}")
+
+    @classmethod
+    def on_grid(cls, c, spacing):
+        return cls(a=spacing / 2.0, b=2.0, c=c)
 
     def degree(self, x):
         t = ((np.asarray(x, dtype=float) - self.c) / self.a) ** 2
@@ -85,7 +127,7 @@ class GeneralizedBell(MembershipFunction):
         return 1.0 / (1.0 + u)
 
     def degree_and_param_grads(self, x):
-        """Degree plus d(degree)/d(a, b, c), each shaped like ``x``.
+        """Degree plus d(degree)/d(a, b, c), each shaped like the degree.
 
         Uses mu * (1 - mu) = u / (1 + u)^2 to stay finite where the raw
         power overflows.
@@ -121,6 +163,7 @@ class TwoSidedGaussian(MembershipFunction):
 
     shape_name = "gauss2"
     trainable = True
+    widths = (0, 2)
 
     def __post_init__(self):
         if not (self.sigma_left > 0 and self.sigma_right > 0):
@@ -129,6 +172,19 @@ class TwoSidedGaussian(MembershipFunction):
         if self.c_left > self.c_right:
             raise ValueError(
                 f"plateau edges out of order: {self.c_left} > {self.c_right}")
+
+    @classmethod
+    def on_grid(cls, c, spacing):
+        sigma = spacing / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+        return cls(sigma_left=sigma, c_left=c, sigma_right=sigma, c_right=c)
+
+    @classmethod
+    def repair(cls, P):
+        """Sigmas clamped, then a crossed plateau swapped side for side."""
+        P = super().repair(P)
+        crossed = P[..., 1] > P[..., 3]
+        P[crossed] = P[crossed][:, [2, 3, 0, 1]]
+        return P
 
     def degree(self, x):
         x = np.asarray(x, dtype=float)
@@ -172,10 +228,15 @@ class Triangular(MembershipFunction):
                 f"need left < peak < right, got "
                 f"{self.left}, {self.peak}, {self.right}")
 
+    @classmethod
+    def on_grid(cls, c, spacing):
+        return cls(left=c - spacing, peak=c, right=c + spacing)
+
     def degree(self, x):
         x = np.asarray(x, dtype=float)
-        # interp clamps to the 0-valued endpoints outside [left, right]
-        return np.interp(x, [self.left, self.peak, self.right], [0.0, 1.0, 0.0])
+        rise = (x - self.left) / (self.peak - self.left)
+        fall = (self.right - x) / (self.right - self.peak)
+        return np.maximum(np.minimum(rise, fall), 0.0)
 
 
 MF_SHAPES = {
@@ -195,61 +256,6 @@ def mf_from_dict(d):
     return cls(**d)
 
 
-@dataclass(frozen=True)
-class SugenoRule:
-    """One rule of a Sugeno system.
-
-    ``antecedent[j]`` indexes the membership function used for input j;
-    ``consequent`` holds the constant term followed by one coefficient
-    per input, so the rule output is  p0 + sum_j p[j+1] * x[j].
-    A constant-consequent rule simply has zero input coefficients.
-    """
-
-    antecedent: tuple
-    consequent: tuple
-
-    def __post_init__(self):
-        if len(self.consequent) != len(self.antecedent) + 1:
-            raise ValueError(
-                f"consequent needs {len(self.antecedent) + 1} coefficients, "
-                f"got {len(self.consequent)}")
-
-    def output(self, x):
-        p = np.asarray(self.consequent, dtype=float)
-        return float(p[0] + np.dot(p[1:], np.asarray(x, dtype=float)))
-
-
-def _check_rule_dims(rules, mf_bank, x):
-    x = np.asarray(x, dtype=float)
-    if len(x) != len(mf_bank):
-        raise ValueError(
-            f"input has {len(x)} entries but the bank covers {len(mf_bank)}")
-    for rule in rules:
-        if len(rule.antecedent) != len(mf_bank):
-            raise ValueError(
-                f"rule antecedent length {len(rule.antecedent)} does not "
-                f"match {len(mf_bank)} inputs")
-        for j, m in enumerate(rule.antecedent):
-            if not 0 <= m < len(mf_bank[j]):
-                raise ValueError(f"antecedent index {m} invalid for input {j}")
-    return x
-
-
-def firing_strengths(rules, mf_bank, x):
-    """Product-AND firing strength of each rule at input ``x``.
-
-    ``mf_bank[j]`` lists the membership functions available for input j.
-    """
-    x = _check_rule_dims(rules, mf_bank, x)
-    w = np.empty(len(rules))
-    for i, rule in enumerate(rules):
-        strength = 1.0
-        for j, m in enumerate(rule.antecedent):
-            strength *= float(mf_bank[j][m].degree(x[j]))
-        w[i] = strength
-    return w
-
-
 def normalize_weights(w):
     """Normalize firing strengths to sum to 1.
 
@@ -265,15 +271,3 @@ def normalize_weights(w):
         return w / total, False
     return np.full(len(w), 1.0 / len(w)), True
 
-
-def sugeno_infer(rules, mf_bank, x):
-    """Weighted-average Sugeno inference: y = sum_i w_bar_i * f_i(x).
-
-    Returns ``(y, w_bar)``; the normalized strengths are reused by the
-    trainer and for rule-level explanations.
-    """
-    x = _check_rule_dims(rules, mf_bank, x)
-    w = firing_strengths(rules, mf_bank, x)
-    w_bar, _ = normalize_weights(w)
-    outputs = np.array([rule.output(x) for rule in rules])
-    return float(np.dot(w_bar, outputs)), w_bar

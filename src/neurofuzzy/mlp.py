@@ -156,6 +156,9 @@ class MlpModel:
                 or model.w_out.shape != (model.n_classes, model.hidden)
                 or model.b_out.shape != (model.n_classes,)):
             raise ValueError("weight shapes do not match declared sizes")
+        if not all(np.all(np.isfinite(w)) for w in (
+                model.w_hidden, model.b_hidden, model.w_out, model.b_out)):
+            raise ValueError("non-finite weights")
         return model
 
 

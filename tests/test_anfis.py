@@ -16,8 +16,8 @@ from neurofuzzy import anfis
 from neurofuzzy.anfis import _forward_batch
 from neurofuzzy.data import EncodedSample
 from neurofuzzy.errors import ModelFormatError, NumericError
-from neurofuzzy.fuzzy import sugeno_infer
 from neurofuzzy.model_io import load_model, model_to_json, save_model
+from sugeno_reference import rules, sugeno_infer
 
 
 def random_model(rng, mf_shape="gbell", input_dim=3, mfs=2):
@@ -175,7 +175,7 @@ class TestForward:
                 model.consequents = rng.normal(size=model.consequents.shape)
             for _ in range(25):
                 x = rng.uniform(-1, 1, 3)
-                y_ref, wbar_ref = sugeno_infer(model.rules, model.mf_bank, x)
+                y_ref, wbar_ref = sugeno_infer(rules(model), model.mf_bank, x)
                 d = anfis_forward(model, x)
                 assert d.y == pytest.approx(y_ref, abs=1e-12)
                 np.testing.assert_allclose(d.normalized, wbar_ref, atol=1e-12)
@@ -340,6 +340,23 @@ class TestPremiseGradients:
                             f"{shape} input {j} mf {m} param {k}"
                         checked += 1
         assert checked >= 100
+
+    def test_single_input_matches_central_differences(self):
+        # no other inputs: each rule's degree is its own membership
+        rng = np.random.default_rng(16)
+        h = 1e-6
+        model = random_model(rng, mf_shape="gbell", input_dim=1, mfs=3)
+        X = rng.uniform(-0.9, 0.9, size=(15, 1))
+        t = rng.normal(size=15)
+        _, grads = premise_gradients(model, X, t)
+        assert grads.shape == (1, 3, 3)
+        for m, mf in enumerate(model.mf_bank[0]):
+            for k, step in enumerate(h * np.eye(3)):
+                hi, lo = copy.deepcopy(model), copy.deepcopy(model)
+                hi.mf_bank[0][m] = mf.with_params(mf.params() + step)
+                lo.mf_bank[0][m] = mf.with_params(mf.params() - step)
+                fd = (batch_loss(hi, X, t) - batch_loss(lo, X, t)) / (2 * h)
+                assert grads[0, m, k] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
     def test_zero_learn_rate_is_identity(self):
         rng = np.random.default_rng(11)
@@ -590,6 +607,43 @@ class TestSerialization:
         model = build_grid_model("gbell", input_dim=2)
         d = json.loads(model_to_json(model))
         d["consequents"] = [[0.0]]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(d), encoding="utf-8")
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+        with pytest.raises(ValueError):
+            AnfisModel.from_dict(d)
+
+    @pytest.mark.parametrize("where", ["consequent", "center"])
+    def test_non_finite_parameter_rejected(self, tmp_path, where):
+        model = build_grid_model("gauss2", input_dim=2)
+        d = json.loads(model_to_json(model))
+        if where == "consequent":
+            d["consequents"][1][0] = math.nan
+        else:
+            d["mf_bank"][0][1]["c_left"] = math.nan
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(d), encoding="utf-8")
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+        with pytest.raises(ValueError):
+            AnfisModel.from_dict(d)
+
+    @pytest.mark.parametrize("index", [2, -1])
+    def test_antecedent_index_out_of_range_rejected(self, tmp_path, index):
+        # -1 would otherwise pick the last function without complaint
+        model = build_grid_model("gbell", input_dim=2)
+        d = json.loads(model_to_json(model))
+        d["antecedents"][3][1] = index
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(d), encoding="utf-8")
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    def test_mixed_shape_bank_rejected(self, tmp_path):
+        model = build_grid_model("gauss2", input_dim=2)
+        d = json.loads(model_to_json(model))
+        d["mf_bank"][1][0] = {"shape": "gbell", "a": 1.0, "b": 2.0, "c": -1.0}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(d), encoding="utf-8")
         with pytest.raises(ModelFormatError):

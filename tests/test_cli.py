@@ -153,6 +153,17 @@ class TestTrain:
                      "--out-dir", str(out_dir)]) == 2
         assert not (out_dir / "model.json").exists()
 
+    def test_out_dir_that_is_a_file_exits_2_before_training(
+            self, tmp_path, dataset, capsys, monkeypatch):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        config, _ = mlp_config(tmp_path, dataset, out_dir=taken)
+        monkeypatch.setattr(cli, "_train_one",
+                            lambda *_: pytest.fail("training started"))
+        assert main(["train", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot create output directory {taken}")
+
     def test_missing_dataset_exits_3_and_writes_nothing(self, tmp_path):
         out_dir = tmp_path / "never"
         config = write_config(tmp_path / "bad.cfg",
@@ -228,6 +239,21 @@ class TestEvaluate:
         bad = tmp_path / "model.json"
         bad.write_text("{\"kind\": \"anfis\"", encoding="utf-8")
         assert main(["evaluate", str(bad), "--dataset", str(dataset)]) == 5
+
+    def test_non_finite_anfis_model_exits_5(self, tmp_path, dataset, capsys):
+        out_dir = tmp_path / "anfis"
+        assert main(["train", "--dataset", str(dataset), "--model", "anfis",
+                     "--output-mode", "single", "--epochs", "1",
+                     "--out-dir", str(out_dir)]) == 0
+        path = out_dir / "model.json"
+        payload = json.loads(path.read_text())
+        payload["consequents"][0][0] = math.nan
+        payload["mf_bank"][0][0]["c_left"] = math.nan
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["evaluate", str(path), "--dataset", str(dataset),
+                     "--split", "none"]) == 5
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_empty_selection_exits_3(self, trained, tmp_path):
         empty = tmp_path / "empty.csv"

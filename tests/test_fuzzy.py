@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neurofuzzy.fuzzy import (GeneralizedBell, SugenoRule, Triangular,
-                              TwoSidedGaussian, firing_strengths, mf_from_dict,
-                              normalize_weights, sugeno_infer)
+from neurofuzzy.fuzzy import (GeneralizedBell, Triangular, TwoSidedGaussian,
+                              mf_from_dict, normalize_weights)
+from sugeno_reference import SugenoRule, firing_strengths, sugeno_infer
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -129,6 +129,43 @@ class TestRoundTrip:
     def test_unknown_shape_rejected(self):
         with pytest.raises(ValueError):
             mf_from_dict({"shape": "trapezoid", "a": 1})
+
+
+class TestRepair:
+    """Each shape's repair of stepped parameters, on a (d, M, K) block."""
+
+    @pytest.mark.parametrize("shape, block, repaired", [
+        (GeneralizedBell,
+         [[[-0.5, 2.0, 0.1],          # negative width
+           [0.4, 0.0, -0.3]],         # zero slope
+          [[0.7, 1.5, 0.2],           # already valid
+           [1e-9, -1.0, 0.0]]],       # both below the floor
+         [[[1e-6, 2.0, 0.1],
+           [0.4, 1e-6, -0.3]],
+          [[0.7, 1.5, 0.2],
+           [1e-6, 1e-6, 0.0]]]),
+        (TwoSidedGaussian,
+         [[[-0.2, 0.5, 0.3, -0.5],    # crossed, left sigma negative
+           [0.4, -0.1, 0.6, 0.2]],    # already valid
+          [[0.0, 0.2, -3.0, 0.1],     # crossed, both sigmas clamped
+           [0.5, 0.3, -0.5, 0.3]]],   # touching edges stay, sigma clamped
+         [[[0.3, -0.5, 1e-6, 0.5],
+           [0.4, -0.1, 0.6, 0.2]],
+          [[1e-6, 0.1, 1e-6, 0.2],
+           [0.5, 0.3, 1e-6, 0.3]]]),
+        (Triangular,
+         [[[-1.0, 0.0, 1.0], [0.0, 1.0, 2.0]]],
+         [[[-1.0, 0.0, 1.0], [0.0, 1.0, 2.0]]]),
+    ])
+    def test_repaired_block(self, shape, block, repaired):
+        block = np.array(block)
+        before = block.copy()
+        out = shape.repair(block)
+        np.testing.assert_array_equal(out, repaired)
+        np.testing.assert_array_equal(block, before)
+        # every repaired row builds a valid function
+        assert [[mf.params().tolist() for mf in row]
+                for row in shape.unstack(out)] == repaired
 
 
 def bank_1d(degree_at):

@@ -348,3 +348,12 @@ class TestSerialization:
         path.write_text(json.dumps(d), encoding="utf-8")
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+    def test_non_finite_weight_rejected(self, tmp_path):
+        model = build_mlp(hidden=3)
+        d = json.loads(model_to_json(model))
+        d["w_hidden"][0][1] = math.nan
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(d), encoding="utf-8")
+        with pytest.raises(ModelFormatError):
+            load_model(path)
