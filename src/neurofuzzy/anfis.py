@@ -1,43 +1,41 @@
 """Grid-partitioned adaptive Sugeno network with hybrid training.
 
-The network alternates two parameter groups each epoch:
+Each epoch alternates two parameter groups (Jang, IEEE SMC 23(3), 1993):
 
-- consequent coefficients, solved globally by ridge-regularized linear
-  least squares for the current premises (the solve is exact, so train
-  RMSE can only drop across this half-step).  Repeated input rows are
-  folded into weighted distinct rows, then the smaller ridge Gram
-  matrix, dual or primal, is factored by Cholesky; a zero ridge falls
-  back to minimum-norm SVD least squares;
+- consequent coefficients, solved exactly by ridge-regularized least
+  squares for the current premises (``lse_consequents``), so train
+  RMSE cannot rise across this half-step;
 - premise membership parameters, moved one gradient-descent step
-  against the mean squared error (triangular premises are kept fixed:
-  their vertices make the gradient undefined, so triangular models
-  train consequents only).
+  against the mean squared error (triangular premises stay fixed: their
+  vertices make the gradient undefined).
 
-Array conventions, for a model with d inputs, M membership functions
-per input, K parameters per function, and R = M^d rules:
+Training folds its n rows once into g distinct rows with counts c and
+mean targets t.  On them dE/dy = 2 c (y - t) / n, and the error, which
+adds back the targets' spread within each row, are exact.  The C
+members of a run (4 for one-against-all) train along a member axis.
 
-    X       (n, d)       encoded sample features
-    P       (d, M, K)    premise parameters, in ``params()`` order
-    D       (d, M, n)    membership degrees: the bank's (d, M, 1) fields
-                         evaluated on X.T[:, None, :]
-    W       (n, R)       rule firing strengths (product AND)
-    Wbar    (n, R)       normalized strengths (uniform fallback rows
-                         where the total strength is exactly zero)
-    F       (n, R)       per-rule consequent values  p0 + p . x
-    y       (n,)         network output, sum_i Wbar * F
-    grads   (d, M, K)    loss gradient in P
+Array conventions, for d inputs, M membership functions per input with
+K parameters each, and R = M^d rules:
+
+    X       (g, d)          rows (n raw rows outside training)
+    P       (C, d, M, K)    premise parameters, in ``params()`` order
+    D       (C, d, M, g)    degrees: the bank's (C, d, M, 1) fields on
+                            X.T[None, :, None, :]
+    W, Wbar (C, g, R)       firing strengths (product AND), normalized
+                            (uniform where the total is exactly zero)
+    F       (C, g, R)       rule values p0 + p . x, consequents (C, R, d + 1)
+    y       (C, g)          network output, sum_i Wbar * F
+    grads   (C, d, M, K)    loss gradient in P
 
 A "single" model regresses the class value 1..4 and classifies by
-rounding; a "binary" model is one member of a one-against-all ensemble
-and regresses a 0/1 target for its positive class.
+rounding; a "binary" model, one member of a one-against-all ensemble,
+regresses a 0/1 target for its positive class.
 """
-
 from __future__ import annotations
 
-import copy
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -228,34 +226,44 @@ def build_grid_model(mf_shape, mfs_per_input=2, input_range=(-1.0, 1.0),
 
 
 def _firing(model, D, skip=None):
-    """(R, n): each rule's product of degrees over the inputs but ``skip``."""
-    return math.prod(D[j][model.antecedents[:, j]]
+    """(..., R, g): each rule's product of degrees over the inputs but ``skip``."""
+    return math.prod(D[..., j, model.antecedents[:, j], :]
                      for j in range(model.input_dim) if j != skip)
+
+
+def _layers(model, P, X, grads=False):
+    """(D, dD, W, S, Wbar, degenerate) of premises P on the rows of X:
+    dD (K, C, d, M, g) only with ``grads``, totals S (C, g) zero on the
+    ``degenerate`` rows."""
+    if X.ndim != 2 or X.shape[1] != model.input_dim:
+        raise ValueError(f"expected (n, {model.input_dim}) inputs, got {X.shape}")
+    bank = MF_SHAPES[model.mf_shape].bank(P)
+    x = np.ascontiguousarray(X.T)[None, :, None, :]
+    D, dD = bank.degree_and_param_grads(x) if grads else (bank.degree(x), None)
+    W = np.ascontiguousarray(np.swapaxes(_firing(model, D), -1, -2))
+    S = W.sum(axis=-1)
+    degenerate = S == 0.0
+    Wbar = np.full_like(W, 1.0 / model.n_rules)
+    np.divide(W, S[..., None], out=Wbar, where=~degenerate[..., None])
+    if __debug__:
+        assert np.all(np.abs(Wbar.sum(axis=-1) - 1.0) < 1e-9)
+    return D, dD, W, S, Wbar, degenerate
+
+
+def _outputs(X, consequents, Wbar):
+    """(F, y) of the members with consequents (C, R, d + 1)."""
+    X1 = np.hstack([np.ones((X.shape[0], 1)), X])
+    F = X1 @ np.swapaxes(consequents, -1, -2)
+    return F, (Wbar * F).sum(axis=-1)
 
 
 def _forward_batch(model, X):
     """Returns (y, W, Wbar, F, degenerate_rows)."""
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.input_dim:
-        raise ValueError(
-            f"expected (n, {model.input_dim}) inputs, got {X.shape}")
-    shape = MF_SHAPES[model.mf_shape]
-    bank = shape.bank(shape.stack(model.mf_bank))
-    D = bank.degree(np.ascontiguousarray(X.T)[:, None, :])
-    W = np.ascontiguousarray(_firing(model, D).T)
-    S = W.sum(axis=1)
-    degenerate = S == 0.0
-    Wbar = np.empty_like(W)
-    ok = ~degenerate
-    Wbar[ok] = W[ok] / S[ok, None]
-    Wbar[degenerate] = 1.0 / model.n_rules
-    if __debug__:
-        assert np.all(np.abs(Wbar.sum(axis=1) - 1.0) < 1e-9)
-
-    X1 = np.hstack([np.ones((X.shape[0], 1)), X])
-    F = X1 @ model.consequents.T
-    y = (Wbar * F).sum(axis=1)
-    return y, W, Wbar, F, degenerate
+    P = MF_SHAPES[model.mf_shape].stack(model.mf_bank)
+    _, _, W, _, Wbar, degenerate = _layers(model, P[None], X)
+    F, y = _outputs(X, model.consequents[None], Wbar)
+    return y[0], W[0], Wbar[0], F[0], degenerate[0]
 
 
 @dataclass(frozen=True)
@@ -288,58 +296,51 @@ def _design_matrix(model, Wbar, X):
 
 
 def _fold_rows(X, targets):
-    """Collapse repeated input rows.
-
-    Returns ``(unique_rows, counts, mean_targets, within_ss)``, where
-    ``within_ss`` is the targets' sum of squares about their group
-    means: the part of any fit's residual that no consequent can remove.
-    """
+    """Collapse repeated rows of X, given targets (C, n), into ``(rows,
+    counts, means, within_ss)``: mean targets (C, g) and the targets' sums
+    of squares about them (C,), which no consequent can remove."""
     unique, inverse, counts = np.unique(
         X, axis=0, return_inverse=True, return_counts=True)
     inverse = inverse.ravel()        # its shape under axis= varies across numpy 2.x
-    means = np.bincount(inverse, weights=targets) / counts
-    within_ss = float(np.sum((targets - means[inverse]) ** 2))
+    means = np.array([np.bincount(inverse, weights=t) for t in targets]) / counts
+    within_ss = np.sum((targets - means[:, inverse]) ** 2, axis=-1)
     return unique, counts, means, within_ss
-
-
-def _cholesky_solve(G, rhs):
-    """Solve G z = rhs for a symmetric positive definite G."""
-    L = np.linalg.cholesky(G)
-    return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
 
 
 def _ridge_solve(A, b, ridge):
     """argmin ||A p - b||^2 + ridge * ||p||^2, minimum-norm when ridge is 0.
 
-    With ridge > 0 the smaller Gram matrix is factored: the dual form
-    p = A'(AA' + ridge I)^-1 b when A has fewer rows than columns, else
-    the primal (A'A + ridge I) p = A'b.  A zero ridge, or a Gram that is
-    not numerically positive definite, falls back to least squares.
+    With ridge > 0 the smaller Gram matrix is factored by Cholesky: the
+    dual form p = A'(AA' + ridge I)^-1 b when A has fewer rows than
+    columns, else the primal (A'A + ridge I) p = A'b.  A zero ridge, or a
+    Gram that is not numerically positive definite, falls back to least
+    squares.
     """
     n, k = A.shape
     if ridge > 0:
+        dual = n < k
+        G, rhs = (A @ A.T, b) if dual else (A.T @ A, A.T @ b)
         try:
-            if n < k:
-                return A.T @ _cholesky_solve(A @ A.T + ridge * np.eye(n), b)
-            return _cholesky_solve(A.T @ A + ridge * np.eye(k), A.T @ b)
+            L = np.linalg.cholesky(G + ridge * np.eye(len(G)))
+            z = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+            return A.T @ z if dual else z
         except np.linalg.LinAlgError:
             A = np.vstack([A, math.sqrt(ridge) * np.eye(k)])
             b = np.concatenate([b, np.zeros(k)])
     return np.linalg.lstsq(A, b, rcond=None)[0]
 
 
-def lse_consequents(model, X, targets, ridge=1e-8):
+def lse_consequents(model, X, targets, ridge=1e-8, *, counts=None):
     """Globally optimal consequents for the current premises.
 
     Minimizes ||Phi p - t||^2 + ridge * ||p||^2 exactly; premises are
     untouched.  Repeated input rows are folded first: each distinct row
-    enters once, weighted by the square root of its count, against its
-    mean target, which changes the objective only by the targets'
-    within-group sum of squares.  The folded problem is solved by a
-    Cholesky factorization of the smaller ridge Gram matrix (dual when
-    distinct rows are fewer than coefficients, primal otherwise), or by
-    least squares when ``ridge`` is 0 or the Gram is not positive
-    definite.  Returns the residual train RMSE over all rows.
+    enters once against its mean target, weighted by the square root of
+    its count.  ``counts`` says X is already folded: row i stands for
+    ``counts[i]`` samples and ``targets[i]`` is their mean.  The smaller
+    ridge Gram, dual or primal, is factored by Cholesky; a zero ridge
+    falls back to least squares.  Returns the residual train RMSE over
+    all rows, less the targets' spread within rows if ``counts`` is given.
     """
     X = np.asarray(X, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -347,11 +348,17 @@ def lse_consequents(model, X, targets, ridge=1e-8):
         raise ValueError("need at least one training sample")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(targets))):
         raise NumericError("consequent solve given non-finite inputs or targets")
-    rows, counts, means, within_ss = _fold_rows(X, targets)
-    _, _, Wbar, _, _ = _forward_batch(model, rows)
+    within_ss = 0.0
+    if counts is None:
+        X, counts, targets, within_ss = _fold_rows(X, targets[None])
+        targets, within_ss = targets[0], within_ss[0]
+    elif not (np.shape(counts) == targets.shape == (len(X),)
+              and np.all(np.asarray(counts) > 0)):
+        raise ValueError("counts and targets need one value per row, counts > 0")
+    _, _, Wbar, _, _ = _forward_batch(model, X)
     weight = np.sqrt(counts)
-    A = _design_matrix(model, Wbar, rows) * weight[:, None]
-    b = means * weight
+    A = _design_matrix(model, Wbar, X) * weight[:, None]
+    b = targets * weight
     solution = _ridge_solve(A, b, ridge)
     if not np.all(np.isfinite(solution)):
         raise NumericError("consequent solve produced non-finite values")
@@ -362,44 +369,58 @@ def lse_consequents(model, X, targets, ridge=1e-8):
     else:
         model.consequents = solution.reshape(model.n_rules, model.input_dim + 1)
     residual = A @ solution - b
-    return float(np.sqrt((residual @ residual + within_ss) / len(X)))
+    return float(np.sqrt((residual @ residual + within_ss) / np.sum(counts)))
+
+
+def _loss_and_grads(model, layers, X, consequents, fold, grads=True):
+    """Mean squared error (C,) over the rows the folded X stand for, and
+    its gradient in P if ``grads`` and ``layers`` has dD, else None."""
+    D, dD, W, S, Wbar, degenerate = layers
+    F, y = _outputs(X, consequents, Wbar)
+    counts, means, within_ss = fold
+    n, r = counts.sum(), y - means
+    mse = (np.sum(counts * r**2, axis=-1) + within_ss) / n
+    if not grads or dD is None:
+        return mse, None
+    dEdy = 2.0 * counts * r / n
+    # dE/dW_i = dE/dy * (F_i - y) / S, valid only off the fallback rows
+    dEdW = np.zeros_like(W)
+    np.divide(dEdy[..., None] * (F - y[..., None]), S[..., None], out=dEdW,
+              where=~degenerate[..., None])
+
+    # dE/dD[j, m] sums dE/dW over the rules that use MF m on input j,
+    # each times the product of that rule's degrees on the other inputs
+    onehot = np.eye(model.mfs_per_input)[model.antecedents.T]    # (d, R, M)
+    dEdW = np.swapaxes(dEdW, -1, -2)
+    dEdD = np.empty_like(D)
+    for j in range(model.input_dim):
+        dEdD[:, j] = onehot[j].T @ (dEdW * _firing(model, D, skip=j))
+    return mse, np.einsum("kcjmg,cjmg->cjmk", dD, dEdD)
+
+
+def _stepped(shape, P, grads, learn_rate):
+    """P moved against ``grads``, checked finite, then repaired."""
+    P = P - learn_rate * grads
+    if not np.all(np.isfinite(P)):
+        raise NumericError("premise step produced non-finite parameters")
+    return shape.repair(P)
 
 
 def premise_gradients(model, X, t):
     """Mean-squared-error loss and its gradient in the premise parameters.
 
-    Returns ``(loss, grads)`` where ``grads[j]`` has one row per
-    membership function of input j, (d, M, K) in all.  Rows where the
-    total firing strength is exactly zero sit on the uniform fallback
-    and contribute no gradient.  Triangular banks return zero gradients.
+    Returns ``(loss, grads)``, grads (d, M, K), computed on the folded
+    rows as training does.  Rows where the total firing strength is
+    exactly zero sit on the uniform fallback and contribute no gradient.
+    Triangular banks return zero gradients.
     """
-    X = np.asarray(X, dtype=float)
-    t = np.asarray(t, dtype=float)
-    n, d, M = len(X), model.input_dim, model.mfs_per_input
-    y, W, Wbar, F, degenerate = _forward_batch(model, X)
-    loss = float(np.mean((y - t) ** 2))
-
+    rows, *fold = _fold_rows(np.asarray(X, dtype=float),
+                             np.asarray(t, dtype=float)[None])
     shape = MF_SHAPES[model.mf_shape]
     P = shape.stack(model.mf_bank)
-    if not shape.trainable:
-        return loss, np.zeros_like(P)
-
-    D, dD = shape.bank(P).degree_and_param_grads(
-        np.ascontiguousarray(X.T)[:, None, :])
-    dEdy = 2.0 * (y - t) / n
-    S = W.sum(axis=1)
-    ok = ~degenerate
-    # dE/dW_i = dE/dy * (F_i - y) / S, valid only off the fallback rows
-    dEdW = np.zeros_like(W)
-    dEdW[ok] = (dEdy[ok, None] * (F[ok] - y[ok, None])) / S[ok, None]
-
-    # dE/dD[j, m] sums dE/dW over the rules that use MF m on input j,
-    # each times the product of that rule's degrees on the other inputs
-    onehot = np.eye(M)[model.antecedents.T]                      # (d, R, M)
-    dEdD = np.empty_like(D)
-    for j in range(d):
-        dEdD[j] = onehot[j].T @ (dEdW.T * _firing(model, D, skip=j))
-    return loss, np.einsum("kjmn,jmn->jmk", dD, dEdD)
+    layers = _layers(model, P[None], rows, shape.trainable)
+    mse, grads = _loss_and_grads(model, layers, rows, model.consequents[None], fold)
+    return float(mse[0]), np.zeros_like(P) if grads is None else grads[0]
 
 
 def premise_gradient_step(model, X, t, learn_rate):
@@ -415,67 +436,82 @@ def premise_gradient_step(model, X, t, learn_rate):
     if not shape.trainable:
         return model
     _, grads = premise_gradients(model, X, t)
-    P = shape.stack(model.mf_bank) - learn_rate * grads
-    if not np.all(np.isfinite(P)):
-        raise NumericError("premise step produced non-finite parameters")
-    model.mf_bank = shape.unstack(shape.repair(P))
+    model.mf_bank = shape.unstack(
+        _stepped(shape, shape.stack(model.mf_bank), grads, learn_rate))
     return model
 
 
-def _targets_for(model, samples):
-    _, values, onehot, _ = to_arrays(samples)
-    if model.output_mode == "single":
-        return values
-    if model.positive_class is None:
+def _targets(members, samples):
+    """Features (n, d) and each member's regression targets (C, n)."""
+    X, values, onehot, _ = to_arrays(samples)
+    if any(m.output_mode == "binary" and m.positive_class is None for m in members):
         raise ValueError("binary model needs positive_class set")
-    return onehot[:, model.positive_class]
+    return X, np.array([values if m.output_mode == "single" else
+                        onehot[:, m.positive_class] for m in members])
+
+
+def _member(model, config, **changes):
+    """A copy of ``model`` to train under ``config``, sharing no state."""
+    return replace(model, mf_bank=[list(r) for r in model.mf_bank],
+                   antecedents=model.antecedents.copy(),
+                   consequents=model.consequents.copy(),
+                   training=config.to_dict(), **changes)
+
+
+def _train(members, train, test, config):
+    """Hybrid epochs of members sharing a rule grid and training rows,
+    folded once.  A member whose train RMSE reaches ``early_stop_rmse``
+    freezes while the others go on, so each trains as it would alone."""
+    if not train:
+        raise ValueError("training set is empty")
+    rows, *fold = _fold_rows(*_targets(members, train))
+    counts, means, _ = fold
+    model, shape = members[0], MF_SHAPES[members[0].mf_shape]
+    P = np.array([shape.stack(m.mf_bank) for m in members])
+    layers = _layers(model, P, rows, shape.trainable)
+    traces = [TrainingTrace() for _ in members]
+    live = list(range(len(members)))
+    for _ in range(config.epochs):
+        for c in live:
+            lse_consequents(members[c], rows, means[c], config.ridge, counts=counts)
+        consequents = np.array([m.consequents for m in members])
+        if shape.trainable:
+            _, grads = _loss_and_grads(model, layers, rows, consequents, fold)
+            P[live] = _stepped(shape, P[live], grads[live], config.learn_rate)
+            for c in live:
+                members[c].mf_bank = shape.unstack(P[c])
+            # one pass serves this epoch's RMSE and the next one's gradient
+            layers = _layers(model, P, rows, True)
+        rmse = np.sqrt(_loss_and_grads(model, layers, rows, consequents, fold, False)[0])
+        for c in live:
+            traces[c].train_rmse.append(float(rmse[c]))
+            traces[c].epochs_run += 1
+        if config.early_stop_rmse > 0:
+            live = [c for c in live if rmse[c] > config.early_stop_rmse]
+        if not live:
+            break
+
+    X_test, T_test = _targets(members, test) if test else (None, ())
+    for member, trace, t in zip(members, traces, T_test):
+        y_test = _forward_batch(member, X_test)[0]
+        trace.test_rmse = float(np.sqrt(np.mean((y_test - t) ** 2)))
+    return members, traces
 
 
 def train_hybrid(model, train, test, config):
     """Hybrid training: per epoch, an exact consequent solve then one
-    premise gradient step.  Deterministic; returns a trained copy and
-    the per-epoch RMSE trace.
-    """
-    if not train:
-        raise ValueError("training set is empty")
-    model = copy.deepcopy(model)
-    X_train, _, _, _ = to_arrays(train)
-    t_train = _targets_for(model, train)
-
-    trace = TrainingTrace()
-    for _ in range(config.epochs):
-        lse_consequents(model, X_train, t_train, ridge=config.ridge)
-        premise_gradient_step(model, X_train, t_train, config.learn_rate)
-        y, _, _, _, _ = _forward_batch(model, X_train)
-        rmse = float(np.sqrt(np.mean((y - t_train) ** 2)))
-        trace.train_rmse.append(rmse)
-        trace.epochs_run += 1
-        if config.early_stop_rmse > 0 and rmse <= config.early_stop_rmse:
-            break
-
-    if test:
-        X_test = to_arrays(test)[0]
-        t_test = _targets_for(model, test)
-        y_test, _, _, _, _ = _forward_batch(model, X_test)
-        trace.test_rmse = float(np.sqrt(np.mean((y_test - t_test) ** 2)))
-    model.training = config.to_dict()
-    return model, trace
+    premise gradient step.  Returns a trained copy and the RMSE trace."""
+    (trained,), (trace,) = _train([_member(model, config)], train, test, config)
+    return trained, trace
 
 
 def train_oaa(proto, train, test, config):
-    """Train four one-against-all copies of ``proto``, one per class.
-
-    The members are independent; each regresses a 0/1 target for its
-    own positive class.
-    """
-    members, traces = [], []
-    for k in range(4):
-        member = copy.deepcopy(proto)
-        member.output_mode = "binary"
-        member.positive_class = k
-        trained, trace = train_hybrid(member, train, test, config)
-        members.append(trained)
-        traces.append(trace)
+    """Train four one-against-all copies of ``proto``, one per class, each
+    regressing a 0/1 target for its positive class.  They share one epoch
+    loop, and each ends as ``train_hybrid`` would leave it."""
+    members, traces = _train([
+        _member(proto, config, output_mode="binary", positive_class=k)
+        for k in range(4)], train, test, config)
     return AnfisEnsemble(members=members), traces
 
 

@@ -161,32 +161,34 @@ def _input_range(cfg):
     return (-1.0, 1.0) if cfg.encoding == "binarize" else (0.0, 1.0)
 
 
-def _train_one(cfg, train_samples, test_samples):
-    """Returns (model, trace dict, final train error lines to print)."""
-    if cfg.model == "anfis":
-        proto = build_grid_model(
-            cfg.mf_shape, cfg.mfs_per_input, _input_range(cfg), seed=cfg.seed,
-            input_dim=5, consequent_order=cfg.consequent_order)
-        tconf = TrainingConfig(epochs=cfg.epochs, learn_rate=cfg.learn_rate,
-                               ridge=cfg.ridge, seed=cfg.seed,
-                               early_stop_rmse=cfg.early_stop)
-        if cfg.output_mode == "oaa":
-            model, traces = train_oaa(proto, train_samples, test_samples, tconf)
-            return model, {"members": [t.to_dict() for t in traces]}, [
-                f"member {k} final train rmse {t.train_rmse[-1]:.6f}"
-                for k, t in enumerate(traces)]
-        model, trace = train_hybrid(proto, train_samples, test_samples, tconf)
-        return model, trace.to_dict(), [
-            f"final train rmse {trace.train_rmse[-1]:.6f}"]
+def _trainer(cfg):
+    """``run(train, test) -> (model, trace dict, lines)``; bad values raise here."""
+    if cfg.model == "mlp":
+        proto = build_mlp(hidden=cfg.hidden, seed=cfg.seed, input_dim=5,
+                          n_classes=4, hidden_activation=cfg.hidden_activation,
+                          output_activation=cfg.output_activation)
+        mconf = MlpTrainingConfig(
+            epochs=cfg.epochs, learn_rate=cfg.learn_rate, loss=cfg.loss,
+            batch_mode=cfg.batch_mode, seed=cfg.seed, early_stop_mse=cfg.early_stop)
+        def run(train, test):
+            model, trace = train_backprop(proto, train, test, mconf)
+            return model, trace.to_dict(), [f"final train mse {trace.train_mse[-1]:.6f}"]
+        return run
 
-    proto = build_mlp(hidden=cfg.hidden, seed=cfg.seed, input_dim=5,
-                      n_classes=4, hidden_activation=cfg.hidden_activation,
-                      output_activation=cfg.output_activation)
-    mconf = MlpTrainingConfig(epochs=cfg.epochs, learn_rate=cfg.learn_rate,
-                              loss=cfg.loss, batch_mode=cfg.batch_mode,
-                              seed=cfg.seed, early_stop_mse=cfg.early_stop)
-    model, trace = train_backprop(proto, train_samples, test_samples, mconf)
-    return model, trace.to_dict(), [f"final train mse {trace.train_mse[-1]:.6f}"]
+    proto = build_grid_model(
+        cfg.mf_shape, cfg.mfs_per_input, _input_range(cfg), seed=cfg.seed,
+        input_dim=5, consequent_order=cfg.consequent_order)
+    tconf = TrainingConfig(epochs=cfg.epochs, learn_rate=cfg.learn_rate, ridge=cfg.ridge,
+                           seed=cfg.seed, early_stop_rmse=cfg.early_stop)
+    def run(train, test):
+        if cfg.output_mode != "oaa":
+            model, trace = train_hybrid(proto, train, test, tconf)
+            return model, trace.to_dict(), [f"final train rmse {trace.train_rmse[-1]:.6f}"]
+        model, traces = train_oaa(proto, train, test, tconf)
+        return model, {"members": [t.to_dict() for t in traces]}, [
+            f"member {k} final train rmse {t.train_rmse[-1]:.6f}"
+            for k, t in enumerate(traces)]
+    return run
 
 
 def _model_outputs(model, X):
@@ -230,9 +232,10 @@ def cmd_train(args):
     split = _build_split(cfg, encoded)
     train_samples, test_samples = ((encoded, []) if split is None
                                    else (split.train, split.test))
+    run = _trainer(cfg)
     out_dir = _make_out_dir(cfg.out_dir)
 
-    model, trace_dict, final_lines = _train_one(cfg, train_samples, test_samples)
+    model, trace_dict, lines = run(train_samples, test_samples)
 
     save_model(model, out_dir / "model.json")
     print(f"wrote {out_dir / 'model.json'}")
@@ -241,7 +244,7 @@ def cmd_train(args):
     if split is not None:
         _write_text(out_dir / "split.json", split_to_json(split))
 
-    print("\n".join(final_lines))
+    print("\n".join(lines))
     if test_samples:
         right, n = _accuracy_line(model, test_samples)
         print(f"test accuracy {right / n:.4f} ({right}/{n})")
@@ -319,11 +322,12 @@ def _compare_run(config_path):
     else:
         splits = [_build_split(cfg, encoded)]
 
+    run = _trainer(cfg)
     wrong_counts, sizes = [], []
     for split in splits:
         if split is None or not split.test:
             raise SplitError("comparison run has an empty test set")
-        model, _, _ = _train_one(cfg, split.train, split.test)
+        model, _, _ = run(split.train, split.test)
         right, n = _accuracy_line(model, split.test)
         wrong_counts.append(n - right)
         sizes.append(n)

@@ -153,12 +153,25 @@ class TestTrain:
                      "--out-dir", str(out_dir)]) == 2
         assert not (out_dir / "model.json").exists()
 
+    @pytest.mark.parametrize("model,flag,value", [
+        ("anfis", "--ridge", "nan"),
+        ("anfis", "--mfs-per-input", "1"),
+        ("mlp", "--learn-rate", "nan"),
+    ])
+    def test_bad_training_value_creates_no_out_dir(self, tmp_path, dataset,
+                                                   model, flag, value):
+        out_dir = tmp_path / "run"
+        assert main(["train", "--dataset", str(dataset), "--model", model,
+                     "--epochs", "1", flag, value,
+                     "--out-dir", str(out_dir)]) == 2
+        assert not out_dir.exists()
+
     def test_out_dir_that_is_a_file_exits_2_before_training(
             self, tmp_path, dataset, capsys, monkeypatch):
         taken = tmp_path / "taken"
         taken.write_text("", encoding="utf-8")
         config, _ = mlp_config(tmp_path, dataset, out_dir=taken)
-        monkeypatch.setattr(cli, "_train_one",
+        monkeypatch.setattr(cli, "train_backprop",
                             lambda *_: pytest.fail("training started"))
         assert main(["train", "--config", config]) == 2
         err = capsys.readouterr().err
