@@ -28,8 +28,7 @@ from .metrics import (BinaryConfusion, EvalReport, RocCurve, auc,
                       mwcs_cap, oaa_confusion, random_accuracy, roc_curve,
                       roc_to_csv, total_accuracy)
 from .mlp import (MlpModel, MlpTrainingConfig, MlpTrainingTrace, build_mlp,
-                  logsig, mlp_forward, mlp_predict, mlp_scores, sweep_hidden,
-                  tansig, train_backprop)
+                  logsig, mlp_forward, sweep_hidden, tansig, train_backprop)
 from .model_io import load_model, model_to_json, save_model
 
 __version__ = "0.1.0"

@@ -29,7 +29,9 @@ K parameters each, and R = M^d rules:
 
 A "single" model regresses the class value 1..4 and classifies by
 rounding; a "binary" model, one member of a one-against-all ensemble,
-regresses a 0/1 target for its positive class.
+regresses a 0/1 target for its positive class.  Both model classes
+answer ``classify(X) -> (class indices (n,), scores (n, 4))``, the one
+call that evaluation, ROC and the command line make.
 """
 from __future__ import annotations
 
@@ -115,9 +117,41 @@ class AnfisModel:
     seed: int = 0
     training: dict | None = None
 
+    def __post_init__(self):
+        if self.consequent_order not in ("linear", "constant"):
+            raise ValueError(f"unknown consequent_order {self.consequent_order!r}")
+        if self.output_mode not in ("single", "binary"):
+            raise ValueError(f"unknown output_mode {self.output_mode!r}")
+        if self.output_mode == "binary" and self.positive_class not in range(4):
+            raise ValueError(f"binary model needs positive_class 0..3, "
+                             f"got {self.positive_class!r}")
+        R = self.antecedents.shape[0] if self.antecedents.ndim == 2 else -1
+        if (self.antecedents.shape != (R, self.input_dim)
+                or self.consequents.shape != (R, self.input_dim + 1)
+                or len(self.mf_bank) != self.input_dim
+                or any(len(row) != self.mfs_per_input for row in self.mf_bank)):
+            raise ValueError("inconsistent rule table dimensions")
+        if not np.all((self.antecedents >= 0)
+                      & (self.antecedents < self.mfs_per_input)):
+            raise ValueError("antecedent index out of range")
+        premises = MF_SHAPES[self.mf_shape].stack(self.mf_bank)
+        if not (np.all(np.isfinite(premises))
+                and np.all(np.isfinite(self.consequents))):
+            raise ValueError("non-finite premise or consequent parameters")
+
     @property
     def n_rules(self):
         return len(self.antecedents)
+
+    def classify(self, X):
+        """(class indices (n,), scores (n, 4)) from one forward pass.
+
+        The class rounds y (``decode_values``); the scores rank by
+        closeness of y to each class value, -|y - (k + 1)|, which
+        preserves the rounding decision's ordering.
+        """
+        y, _, _, _, _ = _forward_batch(self, X)
+        return decode_values(y), -np.abs(y[:, None] - (np.arange(4)[None, :] + 1.0))
 
     def to_dict(self):
         return {
@@ -140,7 +174,7 @@ class AnfisModel:
 
     @classmethod
     def from_dict(cls, d):
-        model = cls(
+        return cls(
             mf_shape=d["mf_shape"],
             mfs_per_input=int(d["mfs_per_input"]),
             input_dim=int(d["input_dim"]),
@@ -154,28 +188,25 @@ class AnfisModel:
             positive_class=d["positive_class"],
             seed=int(d["seed"]),
             training=d["training"])
-        R = model.antecedents.shape[0] if model.antecedents.ndim == 2 else -1
-        if (model.antecedents.shape != (R, model.input_dim)
-                or model.consequents.shape != (R, model.input_dim + 1)
-                or len(model.mf_bank) != model.input_dim
-                or any(len(row) != model.mfs_per_input
-                       for row in model.mf_bank)):
-            raise ValueError("inconsistent rule table dimensions")
-        if not np.all((model.antecedents >= 0)
-                      & (model.antecedents < model.mfs_per_input)):
-            raise ValueError("antecedent index out of range")
-        premises = MF_SHAPES[model.mf_shape].stack(model.mf_bank)
-        if not (np.all(np.isfinite(premises))
-                and np.all(np.isfinite(model.consequents))):
-            raise ValueError("non-finite premise or consequent parameters")
-        return model
 
 
 @dataclass(eq=False)
 class AnfisEnsemble:
-    """Four binary models, one per class; scores feed argmax and ROC."""
+    """Four binary models, member k scoring class k; scores feed argmax and ROC."""
 
     members: list
+
+    def __post_init__(self):
+        if ([(m.output_mode, m.positive_class) for m in self.members]
+                != [("binary", k) for k in range(4)]):
+            raise ValueError("one-against-all needs four binary members, "
+                             "member k with positive_class k")
+
+    def classify(self, X):
+        """(argmax of the member scores, each member's raw outputs (n, 4));
+        ties go to the lower class index."""
+        scores = np.column_stack([_forward_batch(m, X)[0] for m in self.members])
+        return np.argmax(scores, axis=1), scores
 
     def to_dict(self):
         return {
@@ -204,10 +235,6 @@ def build_grid_model(mf_shape, mfs_per_input=2, input_range=(-1.0, 1.0),
         raise ValueError(f"mfs_per_input must be >= 2, got {mfs_per_input}")
     if mf_shape not in MF_SHAPES:
         raise ValueError(f"unknown mf_shape {mf_shape!r}")
-    if consequent_order not in ("linear", "constant"):
-        raise ValueError(f"unknown consequent_order {consequent_order!r}")
-    if output_mode not in ("single", "binary"):
-        raise ValueError(f"unknown output_mode {output_mode!r}")
     lo, hi = float(input_range[0]), float(input_range[1])
     if not hi > lo:
         raise ValueError(f"input_range must satisfy hi > lo, got {input_range}")
@@ -444,8 +471,6 @@ def premise_gradient_step(model, X, t, learn_rate):
 def _targets(members, samples):
     """Features (n, d) and each member's regression targets (C, n)."""
     X, values, onehot, _ = to_arrays(samples)
-    if any(m.output_mode == "binary" and m.positive_class is None for m in members):
-        raise ValueError("binary model needs positive_class set")
     return X, np.array([values if m.output_mode == "single" else
                         onehot[:, m.positive_class] for m in members])
 
@@ -527,26 +552,15 @@ def decode_values(y):
 
 
 def predict_classes(model, X):
-    """Single-output class decisions for the rows of X."""
-    y, _, _, _, _ = _forward_batch(model, np.asarray(X, dtype=float))
-    return decode_values(y)
+    """Class decisions for the rows of X."""
+    return model.classify(X)[0]
 
 
 def class_scores(model, X):
-    """Per-class ranking scores, (n, 4).
-
-    An ensemble reports each member's raw output.  A single-output
-    model ranks by closeness of y to each class value, -|y - (k + 1)|,
-    which preserves the rounding decision's ordering.
-    """
-    X = np.asarray(X, dtype=float)
-    if isinstance(model, AnfisEnsemble):
-        cols = [_forward_batch(member, X)[0] for member in model.members]
-        return np.column_stack(cols)
-    y, _, _, _, _ = _forward_batch(model, X)
-    return -np.abs(y[:, None] - (np.arange(4)[None, :] + 1.0))
+    """Per-class ranking scores for the rows of X, (n, 4)."""
+    return model.classify(X)[1]
 
 
 def ensemble_predict_classes(ensemble, X):
     """Argmax of the member scores (ties go to the lower class index)."""
-    return np.argmax(class_scores(ensemble, X), axis=1)
+    return ensemble.classify(X)[0]

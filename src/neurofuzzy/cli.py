@@ -21,16 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .anfis import (AnfisEnsemble, AnfisModel, TrainingConfig,
-                    build_grid_model, class_scores, predict_classes,
-                    train_hybrid, train_oaa)
+from .anfis import TrainingConfig, build_grid_model, train_hybrid, train_oaa
 from .data import (ATTRIBUTES, CLASS_LABELS, binarize, class_distribution,
                    kfold, load_dataset, passthrough, predefined_split,
                    split_stratified, split_to_json, to_arrays)
 from .errors import (ConfigError, DataLoadError, ModelFormatError,
                      NeurofuzzyError, NumericError, SplitError)
 from .metrics import auc, cap_consistent, evaluate_multiclass, roc_curve, roc_to_csv
-from .mlp import MlpModel, MlpTrainingConfig, build_mlp, mlp_scores, train_backprop
+from .mlp import MlpTrainingConfig, build_mlp, train_backprop
 from .model_io import load_model, save_model
 
 __all__ = ["RunConfig", "read_config_file", "build_run_config", "main"]
@@ -191,22 +189,9 @@ def _trainer(cfg):
     return run
 
 
-def _model_outputs(model, X):
-    """(predicted class indices, per-class score matrix)."""
-    if isinstance(model, (AnfisEnsemble, AnfisModel)):
-        scores = class_scores(model, X)
-        if isinstance(model, AnfisModel):
-            return predict_classes(model, X), scores
-        return np.argmax(scores, axis=1), scores
-    if isinstance(model, MlpModel):
-        scores = mlp_scores(model, X)
-        return np.argmax(scores, axis=1), scores
-    raise ModelFormatError(f"cannot evaluate model of type {type(model).__name__}")
-
-
 def _accuracy_line(model, samples):
     X, _, _, labels = to_arrays(samples)
-    predicted, _ = _model_outputs(model, X)
+    predicted, _ = model.classify(X)
     right = int(np.sum(predicted == labels))
     return right, len(samples)
 
@@ -255,7 +240,8 @@ def _scored_selection(args):
     """Load the model and score the configured evaluation rows: the test
     side of the split, or every row for split=none.
 
-    Returns (labels, predicted classes, per-class scores).
+    Returns (labels, predicted classes, per-class scores); a model
+    that does not score the four classes raises ModelFormatError.
     """
     model = load_model(args.model_file)
     cfg = build_run_config(args.config, _overrides_from_args(args))
@@ -265,7 +251,12 @@ def _scored_selection(args):
     if not samples:
         raise SplitError("evaluation selection is empty")
     X, _, _, labels = to_arrays(samples)
-    return (labels, *_model_outputs(model, X))
+    predicted, scores = model.classify(X)
+    if scores.shape[1:] != (len(CLASS_LABELS),):
+        raise ModelFormatError(
+            f"{args.model_file}: model scores {scores.shape[1]} classes, "
+            f"evaluation needs {len(CLASS_LABELS)}")
+    return labels, predicted, scores
 
 
 def cmd_evaluate(args):

@@ -34,8 +34,6 @@ __all__ = [
     "mlp_forward",
     "mlp_loss_and_gradients",
     "train_backprop",
-    "mlp_scores",
-    "mlp_predict",
     "sweep_hidden",
 ]
 
@@ -57,14 +55,9 @@ def logsig(x):
     return out
 
 
-_ACTIVATIONS = {"tansig": tansig, "logsig": logsig}
-
-
-def _activation_deriv(name, out):
-    # derivatives written in terms of the activation output
-    if name == "tansig":
-        return 1.0 - out**2
-    return out * (1.0 - out)
+# name: (activation, its derivative written in terms of the activation output)
+_ACTIVATIONS = {"tansig": (tansig, lambda out: 1.0 - out**2),
+                "logsig": (logsig, lambda out: out * (1.0 - out))}
 
 
 @dataclass
@@ -120,6 +113,26 @@ class MlpModel:
     seed: int = 0
     training: dict | None = None
 
+    def __post_init__(self):
+        for name in (self.hidden_activation, self.output_activation):
+            if name not in _ACTIVATIONS:
+                raise ValueError(f"unknown activation {name!r}")
+        if (self.w_hidden.shape != (self.hidden, self.input_dim)
+                or self.b_hidden.shape != (self.hidden,)
+                or self.w_out.shape != (self.n_classes, self.hidden)
+                or self.b_out.shape != (self.n_classes,)):
+            raise ValueError("weight shapes do not match declared sizes")
+        if not all(np.all(np.isfinite(w)) for w in (
+                self.w_hidden, self.b_hidden, self.w_out, self.b_out)):
+            raise ValueError("non-finite weights")
+
+    def classify(self, X):
+        """(argmax class indices (n,), per-class scores in [0, 1]); tansig
+        outputs are rescaled (s + 1) / 2.  Ties go to the lower index."""
+        O, _ = mlp_forward(self, X)
+        scores = (O + 1.0) / 2.0 if self.output_activation == "tansig" else O
+        return np.argmax(scores, axis=1), scores
+
     def to_dict(self):
         return {
             "format_version": MODEL_FORMAT_VERSION,
@@ -139,7 +152,7 @@ class MlpModel:
 
     @classmethod
     def from_dict(cls, d):
-        model = cls(
+        return cls(
             input_dim=int(d["input_dim"]),
             hidden=int(d["hidden"]),
             n_classes=int(d["n_classes"]),
@@ -151,15 +164,6 @@ class MlpModel:
             output_activation=d["output_activation"],
             seed=int(d["seed"]),
             training=d["training"])
-        if (model.w_hidden.shape != (model.hidden, model.input_dim)
-                or model.b_hidden.shape != (model.hidden,)
-                or model.w_out.shape != (model.n_classes, model.hidden)
-                or model.b_out.shape != (model.n_classes,)):
-            raise ValueError("weight shapes do not match declared sizes")
-        if not all(np.all(np.isfinite(w)) for w in (
-                model.w_hidden, model.b_hidden, model.w_out, model.b_out)):
-            raise ValueError("non-finite weights")
-        return model
 
 
 def build_mlp(hidden=10, seed=0, input_dim=5, n_classes=4,
@@ -167,9 +171,6 @@ def build_mlp(hidden=10, seed=0, input_dim=5, n_classes=4,
     """Fresh network with U[-0.5, 0.5] weights from a seeded generator."""
     if hidden < 1:
         raise ValueError(f"hidden must be >= 1, got {hidden}")
-    for name in (hidden_activation, output_activation):
-        if name not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {name!r}")
     rng = np.random.default_rng(seed)
     return MlpModel(
         input_dim=input_dim, hidden=hidden, n_classes=n_classes,
@@ -187,8 +188,8 @@ def mlp_forward(model, X):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ValueError(f"expected (n, {model.input_dim}) inputs, got {X.shape}")
-    H = _ACTIVATIONS[model.hidden_activation](X @ model.w_hidden.T + model.b_hidden)
-    O = _ACTIVATIONS[model.output_activation](H @ model.w_out.T + model.b_out)
+    H = _ACTIVATIONS[model.hidden_activation][0](X @ model.w_hidden.T + model.b_hidden)
+    O = _ACTIVATIONS[model.output_activation][0](H @ model.w_out.T + model.b_out)
     return O, H
 
 
@@ -215,13 +216,13 @@ def mlp_loss_and_gradients(model, X, T, loss="mse"):
     O, H = mlp_forward(model, X)
     size = O.size
     if loss == "mse":
-        delta_out = 2.0 * (O - T) / size * _activation_deriv(
-            model.output_activation, O)
+        slope = _ACTIVATIONS[model.output_activation][1]
+        delta_out = 2.0 * (O - T) / size * slope(O)
     else:
         # logsig + cross-entropy: the sigmoid derivative cancels
         delta_out = (O - T) / size
-    delta_hidden = (delta_out @ model.w_out) * _activation_deriv(
-        model.hidden_activation, H)
+    delta_hidden = ((delta_out @ model.w_out)
+                    * _ACTIVATIONS[model.hidden_activation][1](H))
     grads = {
         "w_out": delta_out.T @ H,
         "b_out": delta_out.sum(axis=0),
@@ -279,33 +280,19 @@ def train_backprop(model, train, test, config):
     return model, trace
 
 
-def mlp_scores(model, X):
-    """Per-class scores in [0, 1]; tansig outputs are rescaled (s + 1) / 2."""
-    O, _ = mlp_forward(model, X)
-    if model.output_activation == "tansig":
-        return (O + 1.0) / 2.0
-    return O
-
-
-def mlp_predict(model, X):
-    """Argmax class decision (ties go to the lower class index)."""
-    return np.argmax(mlp_scores(model, X), axis=1)
-
-
 def sweep_hidden(train, test, config, sizes=range(4, 21), seed=0):
     """Train one network per hidden size and score it on the test set.
 
     Returns (results, best_hidden): one dict per size, best picked by
     test accuracy with ties going to the smaller network.
     """
-    X_test, _, _, _ = to_arrays(test)
-    true = np.array([s.class_index for s in test])
+    X_test, _, _, true = to_arrays(test)
     results = []
     best_hidden, best_acc = None, -1.0
     for h in sizes:
         model = build_mlp(hidden=h, seed=seed)
         trained, trace = train_backprop(model, train, test, config)
-        predicted = mlp_predict(trained, X_test)
+        predicted, _ = trained.classify(X_test)
         wrong = int(np.sum(predicted != true))
         acc = float(np.mean(predicted == true))
         results.append({"hidden": int(h),

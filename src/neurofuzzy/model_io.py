@@ -3,7 +3,9 @@
 One file format per model kind, all JSON with a ``format_version``
 field.  Serialization uses plain dicts built in a fixed order and
 ``json.dumps(indent=2)``, so save -> load -> save reproduces the file
-byte for byte.  Anything structurally wrong with a model file raises
+byte for byte.  A file's ``kind`` and ``output_mode`` pick its class
+from ``MODEL_CLASSES``; the class's ``from_dict`` checks the rest.
+Anything structurally wrong with a model file raises
 ``ModelFormatError`` so callers can map it to a dedicated exit code.
 """
 
@@ -16,6 +18,10 @@ from .errors import ModelFormatError
 from .mlp import MlpModel
 
 __all__ = ["save_model", "load_model", "model_to_json"]
+
+# (kind, output_mode) -> class; an MLP file has no output_mode
+MODEL_CLASSES = {("anfis", "single"): AnfisModel, ("anfis", "binary"): AnfisModel,
+                 ("anfis", "oaa"): AnfisEnsemble, ("mlp", None): MlpModel}
 
 
 def model_to_json(model):
@@ -45,14 +51,14 @@ def load_model(path):
         raise ModelFormatError(
             f"{path}: unsupported format_version {version!r} "
             f"(this build reads version {MODEL_FORMAT_VERSION})")
-    kind = raw.get("kind")
+    kind, mode = raw.get("kind"), raw.get("output_mode")
     try:
-        if kind == "anfis":
-            if raw.get("output_mode") == "oaa":
-                return AnfisEnsemble.from_dict(raw)
-            return AnfisModel.from_dict(raw)
-        if kind == "mlp":
-            return MlpModel.from_dict(raw)
+        cls = MODEL_CLASSES[kind, mode]
+    except (KeyError, TypeError):            # TypeError: an unhashable value
+        detail = "" if mode is None else f" with output_mode {mode!r}"
+        raise ModelFormatError(
+            f"{path}: unknown model kind {kind!r}{detail}") from None
+    try:
+        return cls.from_dict(raw)
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed {kind} model ({exc})") from exc
-    raise ModelFormatError(f"{path}: unknown model kind {kind!r}")

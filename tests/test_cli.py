@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from neurofuzzy import cli
+from neurofuzzy.anfis import AnfisEnsemble, build_grid_model
 from neurofuzzy.cli import main
-from neurofuzzy.errors import UndefinedKappaError
+from neurofuzzy.errors import ModelFormatError, UndefinedKappaError
+from neurofuzzy.mlp import build_mlp
 from neurofuzzy.model_io import load_model, model_to_json
 
 LABELS = ["very_low", "low", "middle", "high"]
@@ -214,6 +216,35 @@ class TestTrain:
         assert dataset.read_bytes() == before
 
 
+def _oaa(edit):
+    payload = AnfisEnsemble([build_grid_model("gauss2", output_mode="binary",
+                                              positive_class=k)
+                             for k in range(4)]).to_dict()
+    edit(payload["members"])
+    return payload, True
+
+
+def _edited(payload, **changes):
+    return {**payload, **changes}, True
+
+
+# model files refused with exit 5: (payload, refused by load_model itself);
+# scores that are not four columns are refused when the model is scored
+REFUSED_MODELS = {
+    "oaa-members-reversed": lambda: _oaa(list.reverse),
+    "oaa-three-members": lambda: _oaa(list.pop),
+    "oaa-member-single": lambda: _oaa(
+        lambda members: members[2].update(output_mode="single")),
+    "anfis-output-mode-bogus": lambda: _edited(
+        build_grid_model("gauss2").to_dict(), output_mode="bogus"),
+    "anfis-consequent-order-bogus": lambda: _edited(
+        build_grid_model("gauss2").to_dict(), consequent_order="bogus"),
+    "mlp-unknown-activation": lambda: _edited(
+        build_mlp().to_dict(), hidden_activation="relu"),
+    "mlp-three-classes": lambda: (build_mlp(n_classes=3).to_dict(), False),
+}
+
+
 class TestEvaluate:
     def test_stdout_report(self, trained, capsys):
         assert main(["evaluate", trained["model"],
@@ -264,6 +295,18 @@ class TestEvaluate:
         payload["mf_bank"][0][0]["c_left"] = math.nan
         path.write_text(json.dumps(payload), encoding="utf-8")
         capsys.readouterr()
+        assert main(["evaluate", str(path), "--dataset", str(dataset),
+                     "--split", "none"]) == 5
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("case", REFUSED_MODELS)
+    def test_refused_model_file_exits_5(self, case, tmp_path, dataset, capsys):
+        payload, at_load = REFUSED_MODELS[case]()
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        if at_load:
+            with pytest.raises(ModelFormatError):
+                load_model(path)
         assert main(["evaluate", str(path), "--dataset", str(dataset),
                      "--split", "none"]) == 5
         assert capsys.readouterr().err.startswith("error: ")

@@ -8,8 +8,8 @@ import pytest
 from neurofuzzy.data import EncodedSample
 from neurofuzzy.errors import ModelFormatError
 from neurofuzzy.mlp import (MlpModel, MlpTrainingConfig, build_mlp, logsig,
-                            mlp_forward, mlp_loss_and_gradients, mlp_predict,
-                            mlp_scores, sweep_hidden, tansig, train_backprop)
+                            mlp_forward, mlp_loss_and_gradients, sweep_hidden,
+                            tansig, train_backprop)
 from neurofuzzy.model_io import load_model, model_to_json, save_model
 
 
@@ -197,7 +197,7 @@ class TestTraining:
             model, samples, [], MlpTrainingConfig(epochs=500, learn_rate=0.5))
         X = np.array([s.features for s in samples])
         true = np.array([s.class_index for s in samples])
-        assert np.all(mlp_predict(trained, X) == true)
+        assert np.all(trained.classify(X)[0] == true)
         assert trace.train_mse[-1] < trace.train_mse[0]
 
     def test_small_rate_never_increases_full_batch_loss(self):
@@ -260,7 +260,7 @@ class TestScoresAndPrediction:
         rng = np.random.default_rng(8)
         model = build_mlp(hidden=4, seed=0, output_activation="logsig")
         X = rng.uniform(-1, 1, size=(6, 5))
-        np.testing.assert_allclose(mlp_scores(model, X),
+        np.testing.assert_allclose(model.classify(X)[1],
                                    mlp_forward(model, X)[0])
 
     def test_tansig_scores_rescaled_to_unit_interval(self):
@@ -268,7 +268,7 @@ class TestScoresAndPrediction:
         model = build_mlp(hidden=4, seed=0, output_activation="tansig")
         X = rng.uniform(-1, 1, size=(6, 5))
         O, _ = mlp_forward(model, X)
-        scores = mlp_scores(model, X)
+        scores = model.classify(X)[1]
         np.testing.assert_allclose(scores, (O + 1.0) / 2.0)
         assert np.all(scores >= 0.0) and np.all(scores <= 1.0)
 
@@ -277,7 +277,7 @@ class TestScoresAndPrediction:
         model = build_mlp(hidden=4, seed=2)
         X = rng.uniform(-1, 1, size=(12, 5))
         O, _ = mlp_forward(model, X)
-        np.testing.assert_array_equal(mlp_predict(model, X),
+        np.testing.assert_array_equal(model.classify(X)[0],
                                       np.argmax(O, axis=1))
 
 

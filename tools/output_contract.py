@@ -1,0 +1,283 @@
+"""Output contract: one command set on a parent export and on the working tree.
+
+Run from the repository root:
+
+    python3 tools/output_contract.py --parent REV
+
+The parent side runs from a clean export of ``--parent`` (``git archive``
+into a temporary directory, removed at the end); the change side runs
+from the working tree, twice.  Each side runs ``python -m neurofuzzy.cli``
+with its own ``src`` and ``data/ukm_synthetic.csv``, one BLAS thread, and
+every output under the temporary directory:
+
+- ``train`` for each of the configs in ``CONFIGS``, then per config
+  ``evaluate`` to a file and to stdout and ``roc`` for classes 0..3;
+- ``compare`` over every config, and ``dataset-stats``;
+- the misuse cases in ``misuse``, which exit 2 to 5 (bad config, bad
+  data, a class absent from the data, bad model files), their model
+  files edited from the side's own trained models.
+
+Each command's stdout and stderr, with the temporary paths replaced, are
+output files too.  The report gives each output file as "identical",
+as the worst relative difference of its numbers when only numbers
+differ, or as differing text; each command's exit code on both sides;
+whether each parent-written ``model.json`` loads and re-saves byte for
+byte under the change; and any file or exit code that differs between
+the two runs of the change.  It exits 1 on any difference.  Nothing in
+the repository is written.
+"""
+
+import argparse
+import io
+import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ONE_THREAD = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                "MKL_NUM_THREADS")}
+
+# name: config keys besides the dataset
+CONFIGS = {
+    "oaa": {},
+    "single-gbell": {"output_mode": "single", "mf_shape": "gbell"},
+    "mlp-full": {"model": "mlp", "epochs": 200, "learn_rate": 0.5},
+    "mlp-stochastic-ce": {"model": "mlp", "epochs": 20, "learn_rate": 0.2,
+                          "batch_mode": "stochastic", "loss": "cross_entropy"},
+    "kfold-passthrough": {"encoding": "passthrough", "split": "kfold",
+                          "folds": 5, "fold": 2, "epochs": 20},
+    "triangular-none": {"mf_shape": "triangular", "split": "none",
+                        "output_mode": "single", "epochs": 20},
+    "predefined-constant": {"split": "predefined", "consequent_order": "constant"},
+    "m3-single": {"mfs_per_input": 3, "output_mode": "single", "epochs": 10},
+    "raw-gauss2-oaa": {"encoding": "passthrough"},
+    "raw-gbell-m3-oaa": {"encoding": "passthrough", "mf_shape": "gbell",
+                         "mfs_per_input": 3, "epochs": 5},
+    "oaa-early-stop": {"early_stop": 0.16},
+}
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def export(rev, dest):
+    """The committed files of ``rev`` under ``dest``."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev],
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest
+
+
+def edited_model(src, dest, edit):
+    """Write ``src``'s model JSON to ``dest`` after ``edit(payload)``."""
+    payload = json.loads(Path(src).read_text(encoding="utf-8"))
+    edit(payload)
+    Path(dest).write_text(json.dumps(payload), encoding="utf-8")
+    return str(dest)
+
+
+def drop_last_class(payload):
+    payload.update(n_classes=3, w_out=payload["w_out"][:3], b_out=payload["b_out"][:3])
+
+
+def misuse(inp, run, dataset):
+    """(name, argv) of the misuse cases, given the trained models under ``run``."""
+    oaa, single, mlp = (run / name / "model.json"
+                        for name in ("oaa", "single-gbell", "mlp-full"))
+    lines = Path(dataset).read_text(encoding="utf-8").splitlines(keepends=True)
+    empty, three, badlabel = inp / "empty.csv", inp / "three.csv", inp / "badlabel.csv"
+    empty.write_text(lines[0], encoding="utf-8")
+    three.write_text("".join(line for line in lines
+                             if not line.rstrip().endswith(",High")),
+                     encoding="utf-8")
+    badlabel.write_text(lines[0] + "0.1,0.2,0.3,0.4,0.5,Expert\n", encoding="utf-8")
+    unknown_key = inp / "unknown_key.cfg"
+    unknown_key.write_text(f"dataset={dataset}\ncolour=red\n", encoding="utf-8")
+    (inp / "a_file").write_text("", encoding="utf-8")
+    data = ["--dataset", str(dataset)]
+    (inp / "corrupt.json").write_text('{"kind": "anfis"', encoding="utf-8")
+    models = {
+        "corrupt": str(inp / "corrupt.json"),
+        "format-version-2": edited_model(
+            oaa, inp / "v2.json", lambda d: d.update(format_version=2)),
+        "unknown-kind": edited_model(
+            mlp, inp / "svm.json", lambda d: d.update(kind="svm")),
+        "non-finite": edited_model(
+            single, inp / "nan.json",
+            lambda d: d["consequents"][0].__setitem__(0, float("nan"))),
+        "oaa-members-reversed": edited_model(
+            oaa, inp / "reversed.json", lambda d: d["members"].reverse()),
+        "oaa-three-members": edited_model(
+            oaa, inp / "three_members.json", lambda d: d["members"].pop()),
+        "oaa-member-single": edited_model(
+            oaa, inp / "member_single.json",
+            lambda d: d["members"][2].update(output_mode="single")),
+        "output-mode-bogus": edited_model(
+            single, inp / "mode.json", lambda d: d.update(output_mode="bogus")),
+        "consequent-order-bogus": edited_model(
+            single, inp / "order.json", lambda d: d.update(consequent_order="bogus")),
+        "mlp-unknown-activation": edited_model(
+            mlp, inp / "relu.json", lambda d: d.update(hidden_activation="relu")),
+        "mlp-three-classes": edited_model(
+            mlp, inp / "three_classes.json", drop_last_class),
+    }
+    cases = [
+        ("misuse-unknown-key", ["train", "--config", str(unknown_key),
+                                "--out-dir", str(run / "bad1")]),
+        ("misuse-bad-value", ["train", *data, "--mf-shape", "hexagon",
+                              "--out-dir", str(run / "bad2")]),
+        ("misuse-ridge-nan", ["train", *data, "--ridge", "nan",
+                              "--out-dir", str(run / "bad3")]),
+        ("misuse-one-mf", ["train", *data, "--mfs-per-input", "1",
+                           "--out-dir", str(run / "bad4")]),
+        ("misuse-no-dataset", ["train", "--out-dir", str(run / "bad5")]),
+        ("misuse-out-dir-file", ["train", *data, "--out-dir", str(inp / "a_file")]),
+        ("misuse-class-index", ["roc", str(oaa), *data, "--class-index", "7",
+                                "--out", str(run / "bad.csv")]),
+        ("misuse-missing-dataset", ["train", "--dataset", str(inp / "nope.csv"),
+                                    "--out-dir", str(run / "bad6")]),
+        ("misuse-bad-label", ["dataset-stats", "--dataset", str(badlabel)]),
+        ("misuse-empty-selection", ["evaluate", str(oaa), "--dataset", str(empty),
+                                    "--split", "none"]),
+        ("misuse-absent-class", ["roc", str(oaa), "--dataset", str(three),
+                                 "--split", "none", "--class-index", "3",
+                                 "--out", str(run / "absent.csv")]),
+    ]
+    return cases + [(f"misuse-model-{name}", ["evaluate", path, *data,
+                                              "--split", "none"])
+                    for name, path in models.items()]
+
+
+def run_side(tree, run):
+    """Run the command set with ``tree``'s program into ``run``; returns
+    {command name: exit code}."""
+    inp, logs = run / "inputs", run / "logs"
+    inp.mkdir(parents=True)
+    logs.mkdir()
+    dataset = Path(tree) / "data" / "ukm_synthetic.csv"
+    env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(Path(tree) / "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    codes = {}
+
+    def cli(name, argv):
+        proc = subprocess.run([sys.executable, "-m", "neurofuzzy.cli", *argv],
+                              cwd=run, env=env, capture_output=True, text=True)
+        for stream, text in (("out", proc.stdout), ("err", proc.stderr)):
+            text = text.replace(str(run), "<run>").replace(str(tree), "<tree>")
+            (logs / f"{name}.{stream}").write_text(text, encoding="utf-8")
+        codes[name] = proc.returncode
+
+    configs = {}
+    for name, keys in CONFIGS.items():
+        configs[name] = inp / f"{name}.cfg"
+        configs[name].write_text("".join(f"{k}={v}\n" for k, v in
+                                         {"dataset": dataset, **keys}.items()),
+                                 encoding="utf-8")
+        cli(f"train-{name}", ["train", "--config", str(configs[name]),
+                              "--out-dir", str(run / name)])
+    for name, config in configs.items():
+        model, out = str(run / name / "model.json"), run / name
+        cli(f"evaluate-{name}", ["evaluate", model, "--config", str(config),
+                                 "--out", str(out / "report.json")])
+        cli(f"evaluate-stdout-{name}", ["evaluate", model, "--config", str(config)])
+        for k in range(4):
+            cli(f"roc{k}-{name}", ["roc", model, "--config", str(config),
+                                   "--class-index", str(k), "--out",
+                                   str(out / f"roc{k}.csv")])
+    cli("compare", ["compare", *map(str, configs.values()),
+                    "--out-dir", str(run / "compare")])
+    cli("dataset-stats", ["dataset-stats", "--dataset", str(dataset)])
+    for name, argv in misuse(inp, run, dataset):
+        cli(name, argv)
+    return codes
+
+
+def outputs(run):
+    return {str(p.relative_to(run)): p.read_bytes() for p in sorted(run.rglob("*"))
+            if p.is_file() and p.relative_to(run).parts[0] != "inputs"}
+
+
+def difference(a, b):
+    """"identical", the worst relative difference of the numbers when only
+    numbers differ, or "differs"."""
+    if a == b:
+        return "identical"
+    try:
+        ta, tb = a.decode("utf-8"), b.decode("utf-8")
+    except UnicodeDecodeError:
+        return "differs"
+    na, nb = NUMBER.findall(ta), NUMBER.findall(tb)
+    if NUMBER.sub("#", ta) != NUMBER.sub("#", tb) or len(na) != len(nb):
+        return "differs"
+    worst = max((abs(float(x) - float(y)) / max(abs(float(x)), abs(float(y)))
+                 for x, y in zip(na, nb) if float(x) != float(y)), default=0.0)
+    return f"worst relative difference {worst:.3g}"
+
+
+def resaved(tree, run):
+    """{model file: re-saved byte for byte} of the models under ``run``,
+    loaded and saved by ``tree``'s program."""
+    code = ("import json, sys; from pathlib import Path\n"
+            "from neurofuzzy.model_io import load_model, model_to_json\n"
+            "print(json.dumps({p: model_to_json(load_model(p)) == "
+            "Path(p).read_text(encoding='utf-8') for p in sys.argv[1:]}))")
+    paths = [str(run / name / "model.json") for name in CONFIGS]
+    proc = subprocess.run([sys.executable, "-c", code, *paths], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(tree) / "src"),
+                               "PYTHONDONTWRITEBYTECODE": "1"})
+    return {str(Path(p).relative_to(run)): ok
+            for p, ok in json.loads(proc.stdout).items()}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent")
+    args = parser.parse_args(argv)
+
+    scratch = Path(tempfile.mkdtemp(prefix="output-contract-"))
+    try:
+        trees = {"parent": export(args.parent, scratch / "parent"),
+                 "change": Path.cwd().resolve()}
+        runs = {side: scratch / "runs" / side for side in ("parent", "change", "again")}
+        codes = {side: run_side(trees["change" if side == "again" else side], run)
+                 for side, run in runs.items()}
+        files = {side: outputs(run) for side, run in runs.items()}
+        roundtrip = resaved(trees["change"], runs["parent"])
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+    problems = 0
+    print("output files, parent -> change:")
+    for name in sorted(set(files["parent"]) | set(files["change"])):
+        a, b = files["parent"].get(name), files["change"].get(name)
+        verdict = ("only in the change" if a is None else "only in the parent"
+                   if b is None else difference(a, b))
+        problems += verdict != "identical"
+        print(f"  {name}: {verdict}")
+    print("exit codes, parent -> change:")
+    for name in codes["parent"]:
+        p, c = codes["parent"][name], codes["change"].get(name)
+        problems += p != c
+        print(f"  {name}: {p} -> {c}" + ("" if p == c else "  CHANGED"))
+    print("parent model files re-saved by the change:")
+    for name, ok in roundtrip.items():
+        problems += not ok
+        print(f"  {name}: {'byte for byte' if ok else 'differs'}")
+    unstable = sorted(name for name in set(files["change"]) | set(files["again"])
+                      if files["change"].get(name) != files["again"].get(name))
+    unstable += [name for name in codes["change"]
+                 if codes["change"][name] != codes["again"].get(name)]
+    problems += len(unstable)
+    print("differences between two runs of the change: "
+          + (", ".join(unstable) if unstable else "none"))
+    print(f"{problems} difference(s)")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
