@@ -20,7 +20,8 @@ print("kappa:", round(cohen_kappa(c), 4))
 scores = [0.9, 0.8, 0.8, 0.6, 0.4, 0.3, 0.2, 0.1]
 labels = [1, 1, 0, 1, 0, 1, 0, 0]
 curve = roc_curve(scores, labels)
-print("\nROC points:", curve.points)
+print("\nROC fpr:", curve.fpr.tolist())
+print("ROC tpr:", curve.tpr.tolist())
 print("AUC:", auc(curve))
 
 # Multiclass reports run each class one-against-rest.

@@ -13,11 +13,10 @@ from .anfis import (AnfisEnsemble, AnfisModel, TrainingConfig, TrainingTrace,
                     decode_values, ensemble_predict_classes, lse_consequents,
                     predict_classes, premise_gradient_step, premise_gradients,
                     train_hybrid, train_oaa)
-from .data import (ATTRIBUTES, CLASS_LABELS, DatasetSplit, EncodedSample,
-                   RawSample, binarize, class_distribution, kfold,
-                   load_dataset, normalize_label, passthrough,
-                   predefined_split, split_from_json, split_stratified,
-                   split_to_json, to_arrays)
+from .data import (ATTRIBUTES, CLASS_LABELS, Dataset, DatasetSplit, binarize,
+                   class_distribution, kfold, load_dataset, normalize_label,
+                   passthrough, predefined_split, split_from_json,
+                   split_stratified, split_to_json, to_arrays)
 from .errors import (ConfigError, DataLoadError, ModelFormatError,
                      NeurofuzzyError, NumericError, SplitError,
                      UndefinedKappaError)

@@ -396,14 +396,13 @@ def cmd_dataset_stats(args):
     cfg = build_run_config(args.config, _overrides_from_args(args))
     raw, _ = _load_encoded(cfg)
     counts = class_distribution(raw)
-    matrix = np.array([s.features for s in raw])
     stats = {
         "n_samples": len(raw),
         "class_counts": {label: int(c) for label, c in zip(CLASS_LABELS, counts)},
         "attributes": {
             name: {"min": float(col.min()), "max": float(col.max()),
                    "mean": float(col.mean())}
-            for name, col in zip(ATTRIBUTES, matrix.T)
+            for name, col in zip(ATTRIBUTES, raw.X.T) if col.size  # none for no rows
         },
     }
     sys.stdout.write(json.dumps(stats, indent=2) + "\n")

@@ -11,9 +11,13 @@ Conventions:
   (total_accuracy - random_accuracy) / (1 - random_accuracy).
 - ROC sweeps descending distinct scores with a +inf sentinel, grouping
   ties at a single threshold; a point is emitted after each group, so
-  the curve always starts at (0,0) and ends at (1,1).  AUC is the
-  trapezoidal integral, which equals the probability that a random
-  positive outscores a random negative with ties counting one half.
+  the curve always starts at (0,0) and ends at (1,1).  The sweep is one
+  stable sort and a cumulative sum, and ``RocCurve`` holds ``fpr``,
+  ``tpr`` and ``thresholds`` as float arrays.  AUC is the trapezoidal
+  integral, which equals the probability that a random positive
+  outscores a random negative with ties counting one half.
+- Labels and predictions are class indices 0..3; anything else is a
+  ValueError, never a silently misplaced confusion count.
 """
 
 from __future__ import annotations
@@ -102,45 +106,38 @@ def cohen_kappa(c):
     return (total_accuracy(c) - rand) / (1.0 - rand)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RocCurve:
-    """Ordered (fpr, tpr) points plus the threshold that produced each.
+    """Ordered ROC points as float arrays, plus the threshold of each.
 
     ``thresholds[0]`` is +inf (nothing predicted positive); predicting
     positive means score >= threshold.
     """
 
-    points: tuple
-    thresholds: tuple
+    fpr: np.ndarray
+    tpr: np.ndarray
+    thresholds: np.ndarray
 
     def __post_init__(self):
-        pts = tuple((float(f), float(t)) for f, t in self.points)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds))
-        if len(pts) != len(self.thresholds):
+        for name in ("fpr", "tpr", "thresholds"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if not len(self.fpr) == len(self.tpr) == len(self.thresholds):
             raise ValueError("one threshold per point required")
-        if pts[0] != (0.0, 0.0) or pts[-1] != (1.0, 1.0):
+        if (self.fpr[0], self.tpr[0], self.fpr[-1], self.tpr[-1]) != (0, 0, 1, 1):
             raise ValueError("curve must run from (0,0) to (1,1)")
-        fprs = [p[0] for p in pts]
-        tprs = [p[1] for p in pts]
-        if any(b < a for a, b in zip(fprs, fprs[1:])):
+        if np.any(np.diff(self.fpr) < 0):
             raise ValueError("fpr must be non-decreasing")
-        if any(b < a for a, b in zip(tprs, tprs[1:])):
+        if np.any(np.diff(self.tpr) < 0):
             raise ValueError("tpr must be non-decreasing")
-
-    @property
-    def fpr(self):
-        return np.array([p[0] for p in self.points])
-
-    @property
-    def tpr(self):
-        return np.array([p[1] for p in self.points])
 
 
 def roc_curve(scores, labels):
     """Threshold sweep over the distinct scores, ties grouped.
 
     ``labels`` are binary (1 = positive); both classes must be present.
+    Rows are ranked by a stable descending sort; the running positive
+    and negative counts are read at the last row of each tie group
+    (Fawcett, Pattern Recognition Letters 27, 2006, Algorithm 2).
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
@@ -152,22 +149,14 @@ def roc_curve(scores, labels):
         raise ValueError("ROC needs at least one positive and one negative")
 
     order = np.argsort(-scores, kind="stable")
-    points = [(0.0, 0.0)]
-    thresholds = [float("inf")]
-    tp = fp = 0
-    i = 0
-    while i < len(order):
-        j = i
-        while j < len(order) and scores[order[j]] == scores[order[i]]:
-            if labels[order[j]] == 1:
-                tp += 1
-            else:
-                fp += 1
-            j += 1
-        points.append((fp / n_neg, tp / n_pos))
-        thresholds.append(float(scores[order[i]]))
-        i = j
-    return RocCurve(points=tuple(points), thresholds=tuple(thresholds))
+    ranked = scores[order]
+    tp = np.cumsum(labels[order] == 1)
+    fp = np.arange(1, len(order) + 1) - tp
+    last = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    first = np.append(0, last[:-1] + 1)
+    return RocCurve(fpr=np.append(0.0, fp[last] / n_neg),
+                    tpr=np.append(0.0, tp[last] / n_pos),
+                    thresholds=np.append(np.inf, ranked[first]))
 
 
 def auc(curve):
@@ -243,10 +232,12 @@ def evaluate_multiclass(true_labels, predicted, scores=None, class_names=None):
     if len(true_labels) == 0:
         raise ValueError("label lists must be non-empty")
 
+    for what, values in (("label", true_labels), ("prediction", predicted)):
+        bad = values[(values < 0) | (values > 3)]
+        if bad.size:
+            raise ValueError(f"{what} {bad[0]} outside 0..3")
     n = len(true_labels)
-    confusion = np.zeros((4, 4), dtype=int)
-    for t, p in zip(true_labels, predicted):
-        confusion[t, p] += 1
+    confusion = np.bincount(4 * true_labels + predicted, minlength=16).reshape(4, 4)
     right = int(np.trace(confusion))
     wrong = n - right
     mwcs, cap = mwcs_cap([wrong], n)
@@ -287,7 +278,6 @@ def evaluate_multiclass(true_labels, predicted, scores=None, class_names=None):
 
 def roc_to_csv(curve):
     """Render a curve as ``threshold,fpr,tpr`` CSV text."""
-    lines = ["threshold,fpr,tpr"]
-    for (f, t), thr in zip(curve.points, curve.thresholds):
-        lines.append(f"{thr!r},{f!r},{t!r}")
-    return "\n".join(lines) + "\n"
+    rows = zip(curve.thresholds.tolist(), curve.fpr.tolist(), curve.tpr.tolist())
+    return "threshold,fpr,tpr\n" + "".join(f"{thr!r},{f!r},{t!r}\n"
+                                            for thr, f, t in rows)

@@ -22,7 +22,7 @@ import csv
 
 import numpy as np
 
-from .data import CLASS_LABELS, RawSample
+from .data import ATTRIBUTES, LABEL_COLUMN, Dataset
 
 __all__ = ["DEFAULT_CLASS_COUNTS", "generate", "write_csv"]
 
@@ -42,9 +42,9 @@ def _attribute(rng, high_bit):
 
 
 def generate(class_counts=DEFAULT_CLASS_COUNTS, seed=20240, flip_rate=0.04):
-    """Build the sample list; deterministic for fixed arguments."""
+    """Build the Dataset; deterministic for fixed arguments."""
     rng = np.random.default_rng(seed)
-    samples = []
+    rows, labels = [], []
     for class_index, count in enumerate(class_counts):
         for _ in range(count):
             peg_bit, lpr_bit = _CLASS_BITS[class_index]
@@ -53,25 +53,21 @@ def generate(class_counts=DEFAULT_CLASS_COUNTS, seed=20240, flip_rate=0.04):
                     peg_bit = 1 - peg_bit
                 else:
                     lpr_bit = 1 - lpr_bit
-            samples.append(RawSample(
-                stg=round(float(rng.uniform(0.0, 1.0)), 2),
-                scg=round(float(rng.uniform(0.0, 1.0)), 2),
-                str_=round(float(rng.uniform(0.0, 1.0)), 2),
-                lpr=_attribute(rng, lpr_bit),
-                peg=_attribute(rng, peg_bit),
-                uns=CLASS_LABELS[class_index]))
-    order = rng.permutation(len(samples))
-    return [samples[i] for i in order]
+            # drawn in column order: STG, SCG, STR, LPR, PEG
+            rows.append([round(float(rng.uniform(0.0, 1.0)), 2) for _ in range(3)]
+                        + [_attribute(rng, lpr_bit), _attribute(rng, peg_bit)])
+            labels.append(class_index)
+    order = rng.permutation(len(labels))
+    return Dataset(np.reshape(rows, (-1, len(ATTRIBUTES))), labels).take(order)
 
 
-def write_csv(samples, path):
+def write_csv(dataset, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["STG", "SCG", "STR", "LPR", "PEG", "UNS"])
-        for s in samples:
-            writer.writerow([f"{s.stg:.2f}", f"{s.scg:.2f}", f"{s.str_:.2f}",
-                             f"{s.lpr:.2f}", f"{s.peg:.2f}",
-                             _FILE_LABELS[s.class_index]])
+        writer.writerow([*ATTRIBUTES, LABEL_COLUMN])
+        writer.writerows([*(f"{v:.2f}" for v in row), _FILE_LABELS[label]]
+                         for row, label in zip(dataset.X.tolist(),
+                                               dataset.labels.tolist()))
 
 
 def main(argv=None):
@@ -80,9 +76,9 @@ def main(argv=None):
     parser.add_argument("out", help="output CSV path")
     parser.add_argument("--seed", type=int, default=20240)
     args = parser.parse_args(argv)
-    samples = generate(seed=args.seed)
-    write_csv(samples, args.out)
-    print(f"wrote {len(samples)} samples to {args.out}")
+    dataset = generate(seed=args.seed)
+    write_csv(dataset, args.out)
+    print(f"wrote {len(dataset)} samples to {args.out}")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from neurofuzzy.anfis import (AnfisEnsemble, AnfisModel, TrainingConfig,
                               train_hybrid, train_oaa)
 from neurofuzzy import anfis
 from neurofuzzy.anfis import _forward_batch
-from neurofuzzy.data import EncodedSample
+from neurofuzzy.data import Dataset
 from neurofuzzy.errors import ModelFormatError, NumericError
 from neurofuzzy.model_io import load_model, model_to_json, save_model
 from sugeno_reference import rules, sugeno_infer
@@ -60,13 +60,9 @@ def constant_output_model(value, input_dim=2):
 
 
 def toy_samples(n, rng, input_dim=5):
-    out = []
-    for _ in range(n):
-        feats = np.where(rng.uniform(size=input_dim) < 0.5, -1.0, 1.0)
-        # class driven by two feature signs: a learnable rule structure
-        c = (feats[0] > 0) * 2 + (feats[1] > 0)
-        out.append(EncodedSample(features=feats, class_index=int(c)))
-    return out
+    X = np.where(rng.uniform(size=(n, input_dim)) < 0.5, -1.0, 1.0)
+    # class driven by two feature signs: a learnable rule structure
+    return Dataset(X, (X[:, 0] > 0) * 2 + (X[:, 1] > 0))
 
 
 def lse_cases(rng, n, trials):
@@ -421,8 +417,7 @@ class TestTrainHybrid:
         trained, trace = train_hybrid(model, samples, [], config)
 
         manual = copy.deepcopy(model)
-        X = np.array([s.features for s in samples])
-        t = np.array([s.class_value for s in samples])
+        X, t = samples.X, samples.labels + 1.0
         lse_consequents(manual, X, t, ridge=1e-8)
         premise_gradient_step(manual, X, t, learn_rate=0.05)
         np.testing.assert_array_equal(trained.consequents, manual.consequents)
@@ -447,18 +442,17 @@ class TestTrainHybrid:
         trained, trace = train_hybrid(
             model, samples, [], TrainingConfig(epochs=50, learn_rate=0.01))
         assert trace.train_rmse[-1] < 0.1
-        X = np.array([s.features for s in samples])
-        np.testing.assert_array_equal(predict_classes(trained, X),
-                                      [s.class_index for s in samples])
+        np.testing.assert_array_equal(predict_classes(trained, samples.X),
+                                      samples.labels)
 
     def test_deterministic(self):
         rng = np.random.default_rng(23)
         samples = toy_samples(30, rng, input_dim=3)
         config = TrainingConfig(epochs=5, learn_rate=0.02)
         a, ta = train_hybrid(build_grid_model("gauss2", input_dim=3),
-                             samples, samples[:8], config)
+                             samples, samples.take(range(8)), config)
         b, tb = train_hybrid(build_grid_model("gauss2", input_dim=3),
-                             samples, samples[:8], config)
+                             samples, samples.take(range(8)), config)
         assert model_to_json(a) == model_to_json(b)
         assert ta.train_rmse == tb.train_rmse
         assert ta.test_rmse == tb.test_rmse
@@ -493,7 +487,7 @@ class TestTrainHybrid:
         rng = np.random.default_rng(25)
         samples = toy_samples(40, rng, input_dim=2)
         proto = build_grid_model("gbell", input_dim=2)
-        ensemble, traces = train_oaa(proto, samples, samples[:10],
+        ensemble, traces = train_oaa(proto, samples, samples.take(range(10)),
                                      TrainingConfig(epochs=3))
         assert [m.positive_class for m in ensemble.members] == [0, 1, 2, 3]
         assert all(m.output_mode == "binary" for m in ensemble.members)

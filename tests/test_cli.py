@@ -7,6 +7,7 @@ import pytest
 from neurofuzzy import cli
 from neurofuzzy.anfis import AnfisEnsemble, build_grid_model
 from neurofuzzy.cli import main
+from neurofuzzy.data import CLASS_LABELS
 from neurofuzzy.errors import ModelFormatError, UndefinedKappaError
 from neurofuzzy.mlp import build_mlp
 from neurofuzzy.model_io import load_model, model_to_json
@@ -469,6 +470,14 @@ class TestDatasetStats:
         assert set(stats["attributes"]) == {"STG", "SCG", "STR", "LPR", "PEG"}
         for entry in stats["attributes"].values():
             assert entry["min"] <= entry["mean"] <= entry["max"]
+
+    def test_header_only_file_has_no_attribute_ranges(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("STG,SCG,STR,LPR,PEG,UNS\n", encoding="utf-8")
+        assert main(["dataset-stats", "--dataset", str(path)]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats == {"n_samples": 0, "attributes": {},
+                         "class_counts": dict.fromkeys(CLASS_LABELS, 0)}
 
     def test_missing_dataset_exits_3(self, tmp_path):
         assert main(["dataset-stats",

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from neurofuzzy.data import (CLASS_LABELS, EncodedSample, binarize,
+from neurofuzzy.data import (CLASS_LABELS, Dataset, binarize,
                              class_distribution, kfold, load_dataset,
                              normalize_label, passthrough, predefined_split,
                              split_from_json, split_stratified, split_to_json,
@@ -20,14 +20,10 @@ def write_csv(tmp_path, rows, header=HEADER, name="d.csv"):
 
 
 def make_samples(counts, seed=0):
-    """Encoded samples with the requested per-class counts."""
+    """An encoded Dataset with the requested per-class counts."""
     rng = np.random.default_rng(seed)
-    samples = []
-    for c, n in enumerate(counts):
-        for _ in range(n):
-            feats = np.where(rng.uniform(size=5) < 0.5, -1.0, 1.0)
-            samples.append(EncodedSample(features=feats, class_index=c))
-    return samples
+    X = np.where(rng.uniform(size=(sum(counts), 5)) < 0.5, -1.0, 1.0)
+    return Dataset(X, np.repeat(np.arange(len(counts)), counts))
 
 
 class TestNormalizeLabel:
@@ -47,16 +43,16 @@ class TestLoadDataset:
         path = write_csv(tmp_path, ["0.0,0.0,0.0,0.0,0.0,very_low"])
         samples = load_dataset(path)
         assert len(samples) == 1
-        s = samples[0]
-        assert s.features == (0.0, 0.0, 0.0, 0.0, 0.0)
-        assert s.uns == "VeryLow"
+        assert samples.X.tolist() == [[0.0, 0.0, 0.0, 0.0, 0.0]]
+        assert samples.labels.tolist() == [CLASS_LABELS.index("VeryLow")]
 
     def test_header_order_is_respected(self, tmp_path):
         path = write_csv(tmp_path, ["High,0.9,0.1,0.2,0.3,0.4"],
                          header="UNS,PEG,STG,SCG,STR,LPR\n")
-        s = load_dataset(path)[0]
-        assert s.stg == 0.1 and s.peg == 0.9 and s.lpr == 0.4
-        assert s.class_index == 3
+        s = load_dataset(path)
+        # columns in ATTRIBUTES order: STG, SCG, STR, LPR, PEG
+        assert s.X.tolist() == [[0.1, 0.2, 0.3, 0.4, 0.9]]
+        assert s.labels.tolist() == [3]
 
     def test_non_numeric_cites_row_and_column(self, tmp_path):
         path = write_csv(tmp_path, ["0.1,0.2,0.3,0.4,0.5,low",
@@ -89,20 +85,64 @@ class TestLoadDataset:
         assert len(samples) == 403
 
 
+GOOD = "0.1,0.2,0.3,0.4,0.5,low"
+
+
+class TestLoadMessages:
+    """The exact load errors; a file with several faults names the first in
+    row-then-column order, attributes in ATTRIBUTES order before the label."""
+
+    @pytest.mark.parametrize("rows, message", [
+        (["0.1,0.2,0.3,0.4"], "data row 1, column PEG: missing value"),
+        (["0.1,0.2,abc,0.4,0.5,low"],
+         "data row 1, column STR: non-numeric value 'abc'"),
+        (["0.1,1.2,0.3,0.4,0.5,low"],
+         "data row 1, column SCG: value 1.2 outside [0, 1]"),
+        (["0.1,0.2,0.3,0.4,0.5,extreme"],
+         "data row 1, column UNS: unknown label 'extreme'"),
+        (["0.1,0.2,0.3,0.4,0.5"], "data row 1, column UNS: unknown label ''"),
+        (["0.1,0.2,0.3,0.4,nan,low"],
+         "data row 1, column PEG: value nan outside [0, 1]"),
+        ([GOOD, GOOD, "0.1,0.2,0.3,1.5,0.5,low", GOOD,
+          "0.1,0.2,0.3,0.4,0.5,expert"],
+         "data row 3, column LPR: value 1.5 outside [0, 1]"),
+        ([GOOD, GOOD, "0.1,0.2,0.3,0.4,0.5,expert", GOOD,
+          "0.1,0.2,0.3,1.5,0.5,low"],
+         "data row 3, column UNS: unknown label 'expert'"),
+        (["0.1,-0.2,0.3,0.4,x,expert"],
+         "data row 1, column SCG: value -0.2 outside [0, 1]"),
+        (["0.1,0.2,0.3,0.4,x,expert"],
+         "data row 1, column PEG: non-numeric value 'x'"),
+    ], ids=["short-row", "non-numeric", "out-of-range", "unknown-label",
+            "no-label", "nan", "range-then-label", "label-then-range",
+            "two-in-one-row", "attribute-before-label"])
+    def test_message(self, tmp_path, rows, message):
+        path = write_csv(tmp_path, rows)
+        with pytest.raises(DataLoadError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_duplicated_column(self, tmp_path):
+        path = write_csv(tmp_path, ["0.1,0.2,0.3,0.4,0.5,0.5,low"],
+                         header="STG,SCG,STR,LPR,PEG,stg,UNS\n")
+        with pytest.raises(DataLoadError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"{path}: duplicated column STG"
+
+
 class TestBinarize:
     def test_threshold_rules(self, tmp_path):
         path = write_csv(tmp_path, ["0.3,0.8,0.5,0.0,1.0,middle"])
         encoded = binarize(load_dataset(path))
         # below -> -1, above -> +1, exactly 0.5 -> +1
-        np.testing.assert_array_equal(encoded[0].features,
-                                      [-1.0, 1.0, 1.0, -1.0, 1.0])
+        np.testing.assert_array_equal(encoded.X, [[-1.0, 1.0, 1.0, -1.0, 1.0]])
 
     def test_label_expansion(self, tmp_path):
         path = write_csv(tmp_path, ["0.3,0.8,0.5,0.0,1.0,middle"])
-        s = binarize(load_dataset(path))[0]
-        assert s.class_index == 2
-        assert s.class_value == 3.0
-        np.testing.assert_array_equal(s.oaa_targets, [0, 0, 1, 0])
+        _, values, onehot, labels = to_arrays(binarize(load_dataset(path)))
+        assert labels.tolist() == [2]
+        assert values.tolist() == [3.0]
+        np.testing.assert_array_equal(onehot, [[0, 0, 1, 0]])
 
     def test_invalid_threshold_rejected(self, tmp_path):
         path = write_csv(tmp_path, ["0.3,0.8,0.5,0.0,1.0,middle"])
@@ -112,13 +152,13 @@ class TestBinarize:
     def test_resigning_encoded_features_is_stable(self):
         # thresholding the encoded features at 0 reproduces them
         samples = make_samples([3, 3, 3, 3])
-        feats = np.array([s.features for s in samples])
+        feats = samples.X
         np.testing.assert_array_equal(np.where(feats >= 0, 1.0, -1.0), feats)
 
     def test_passthrough_keeps_decimals(self, tmp_path):
         path = write_csv(tmp_path, ["0.3,0.8,0.5,0.0,1.0,middle"])
-        s = passthrough(load_dataset(path))[0]
-        np.testing.assert_allclose(s.features, [0.3, 0.8, 0.5, 0.0, 1.0])
+        s = passthrough(load_dataset(path))
+        np.testing.assert_allclose(s.X, [[0.3, 0.8, 0.5, 0.0, 1.0]])
 
 
 class TestSplitStratified:
@@ -215,19 +255,34 @@ class TestClassDistribution:
         assert sum(counts) == len(samples)
 
     def test_empty(self):
-        assert class_distribution([]) == (0, 0, 0, 0)
+        assert class_distribution(Dataset(np.empty((0, 5)), [])) == (0, 0, 0, 0)
 
 
-class TestEncodedSample:
+class TestDataset:
     def test_one_hot_matches_index(self):
-        s = EncodedSample(features=np.ones(5), class_index=3)
-        assert s.class_value == 4.0
-        assert s.oaa_targets.sum() == 1.0
-        assert s.oaa_targets[3] == 1.0
+        _, values, onehot, _ = to_arrays(Dataset(np.ones((1, 5)), [3]))
+        assert values.tolist() == [4.0]
+        assert onehot.sum() == 1.0
+        assert onehot[0, 3] == 1.0
 
-    def test_bad_index_rejected(self):
-        with pytest.raises(ValueError):
-            EncodedSample(features=np.ones(5), class_index=4)
+    @pytest.mark.parametrize("label", [4, -1])
+    def test_bad_index_rejected(self, label):
+        with pytest.raises(ValueError, match="out of range"):
+            Dataset(np.ones((2, 5)), [0, label])
+
+    @pytest.mark.parametrize("X, labels", [
+        (np.ones((3, 5)), [0, 1]), (np.ones(5), [0] * 5),
+        (np.ones((2, 5)), [[0], [1]])])
+    def test_shape_mismatch_rejected(self, X, labels):
+        with pytest.raises(ValueError, match="do not match"):
+            Dataset(X, labels)
+
+    def test_take_keeps_rows_with_their_labels(self):
+        samples = make_samples([2, 2, 2, 2], seed=3)
+        part = samples.take([6, 1, 6])
+        np.testing.assert_array_equal(part.X, samples.X[[6, 1, 6]])
+        assert part.labels.tolist() == [3, 0, 3]
+        assert len(part) == 3 and len(samples.take([])) == 0
 
     def test_to_arrays_shapes(self):
         X, values, onehot, labels = to_arrays(make_samples([2, 2, 2, 2]))

@@ -16,7 +16,7 @@ from neurofuzzy.anfis import (TrainingConfig, build_grid_model,
                               ensemble_predict_classes, lse_consequents,
                               predict_classes, premise_gradients,
                               train_hybrid, train_oaa)
-from neurofuzzy.data import EncodedSample, to_arrays
+from neurofuzzy.data import Dataset, to_arrays
 from neurofuzzy.model_io import model_to_json
 from test_anfis import random_model
 
@@ -30,8 +30,7 @@ def conflicting_samples(rng, n, pool, input_dim=3, binary=False):
     rows = (rng.choice([-1.0, 1.0], size=(pool, input_dim)) if binary
             else rng.uniform(-1, 1, size=(pool, input_dim)))
     pick = rng.integers(pool, size=n)
-    return [EncodedSample(features=rows[i], class_index=int(rng.integers(4)))
-            for i in pick]
+    return Dataset(rows[pick], [rng.integers(4) for _ in pick])
 
 
 def outside_grid_samples(rng, n, input_dim=3):
@@ -39,8 +38,7 @@ def outside_grid_samples(rng, n, input_dim=3):
     strength is exactly zero (uniform fallback rows)."""
     feats = rng.uniform(-1, 1, size=(n, input_dim))
     feats[: n // 3, 0] = 40.0
-    return [EncodedSample(features=f, class_index=int(rng.integers(4)))
-            for f in feats]
+    return Dataset(feats, [rng.integers(4) for _ in feats])
 
 
 def assert_same_training(got, want, X):
@@ -71,7 +69,8 @@ class TestReferenceEquivalence:
         shape, make = CASES[case]
         rng = np.random.default_rng(sorted(CASES).index(case))
         samples = make(rng)
-        train, test = samples[:-10], samples[-10:]
+        rows = np.arange(len(samples))
+        train, test = samples.take(rows[:-10]), samples.take(rows[-10:])
         proto = build_grid_model(shape, input_dim=3)
         config = TrainingConfig(epochs=15, learn_rate=0.05)
         X = to_arrays(samples)[0]
@@ -83,7 +82,8 @@ class TestReferenceEquivalence:
         shape, make = CASES[case]
         rng = np.random.default_rng(10 + sorted(CASES).index(case))
         samples = make(rng)
-        train, test = samples[:-10], samples[-10:]
+        rows = np.arange(len(samples))
+        train, test = samples.take(rows[:-10]), samples.take(rows[-10:])
         proto = build_grid_model(shape, input_dim=3)
         config = TrainingConfig(epochs=15, learn_rate=0.05)
         got, got_traces = train_oaa(proto, train, test, config)
@@ -187,11 +187,11 @@ class TestFoldedStatistics:
         samples = conflicting_samples(rng, 50, 10)
         config = TrainingConfig(epochs=8, learn_rate=0.05)
         ensemble, traces = train_oaa(build_grid_model(shape, input_dim=3),
-                                     samples, samples[:10], config)
+                                     samples, samples.take(range(10)), config)
         for k in range(4):
             alone, trace = train_hybrid(
                 build_grid_model(shape, input_dim=3, output_mode="binary",
                                  positive_class=k),
-                samples, samples[:10], config)
+                samples, samples.take(range(10)), config)
             assert model_to_json(ensemble.members[k]) == model_to_json(alone)
             assert traces[k] == trace

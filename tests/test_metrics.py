@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import roc_reference as reference
 from neurofuzzy.errors import NumericError, UndefinedKappaError
 from neurofuzzy.metrics import (BinaryConfusion, RocCurve, auc, cap_consistent,
                                 cohen_kappa, evaluate_multiclass, mwcs_cap,
@@ -28,6 +29,11 @@ def pairwise_auc(scores, labels):
             elif p == n:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def points(curve):
+    """The curve's (fpr, tpr) pairs as Python float tuples."""
+    return tuple(zip(curve.fpr.tolist(), curve.tpr.tolist()))
 
 
 class TestOaaConfusion:
@@ -128,19 +134,19 @@ class TestKappa:
 class TestRocCurve:
     def test_perfect_separation(self):
         curve = roc_curve([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])
-        assert (0.0, 1.0) in curve.points
+        assert (0.0, 1.0) in points(curve)
         assert auc(curve) == 1.0
 
     def test_all_tied_scores(self):
         curve = roc_curve([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0])
-        assert curve.points == ((0.0, 0.0), (1.0, 1.0))
+        assert points(curve) == ((0.0, 0.0), (1.0, 1.0))
         assert auc(curve) == 0.5
 
     def test_hand_traced_sweep(self):
         scores = [0.9, 0.6, 0.4, 0.1]
         labels = [1, 0, 1, 0]
         curve = roc_curve(scores, labels)
-        assert curve.points == ((0.0, 0.0), (0.0, 0.5), (0.5, 0.5),
+        assert points(curve) == ((0.0, 0.0), (0.0, 0.5), (0.5, 0.5),
                                 (0.5, 1.0), (1.0, 1.0))
         assert curve.thresholds[0] == math.inf
         assert math.isclose(auc(curve), 0.75)
@@ -148,8 +154,8 @@ class TestRocCurve:
     def test_endpoints_always_present(self):
         rng = np.random.default_rng(3)
         curve = roc_curve(rng.uniform(size=30), rng.integers(0, 2, 30))
-        assert curve.points[0] == (0.0, 0.0)
-        assert curve.points[-1] == (1.0, 1.0)
+        assert points(curve)[0] == (0.0, 0.0)
+        assert points(curve)[-1] == (1.0, 1.0)
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
@@ -179,6 +185,56 @@ class TestRocCurve:
             return
         got = auc(roc_curve(scores, labels))
         assert math.isclose(got, pairwise_auc(scores, labels), abs_tol=1e-12)
+
+
+ROC_CASES = ("all-distinct", "two-decimal-ties", "all-tied", "single-positive")
+
+
+def seeded_roc_case(case):
+    """Seeded (scores, labels) of 500 rows for one of ``ROC_CASES``."""
+    rng = np.random.default_rng(list(ROC_CASES).index(case))
+    scores, labels = rng.uniform(size=500), rng.integers(0, 2, 500)
+    if case == "two-decimal-ties":
+        scores = np.round(scores, 2)
+    elif case == "all-tied":
+        scores = np.full(500, 0.25)
+    elif case == "single-positive":
+        labels = (np.arange(500) == rng.integers(500)).astype(int)
+    return scores, labels
+
+
+class TestRocAgainstReference:
+    @pytest.mark.parametrize("case", ROC_CASES)
+    def test_points_and_thresholds_are_exact(self, case):
+        scores, labels = seeded_roc_case(case)
+        want_points, want_thresholds = reference.roc_points(scores, labels)
+        curve = roc_curve(scores, labels)
+        assert points(curve) == want_points
+        assert tuple(curve.thresholds.tolist()) == want_thresholds
+
+    def test_signed_zero_threshold_is_the_groups_first_score(self):
+        scores, labels = [0.0, -0.0, 0.5], [1, 0, 1]
+        thresholds = roc_curve(scores, labels).thresholds.tolist()
+        assert [math.copysign(1, t) for t in thresholds] == \
+            [math.copysign(1, t) for t in reference.roc_points(scores, labels)[1]]
+
+
+class TestRocCurveInvariants:
+    @pytest.mark.parametrize("fpr, tpr, thresholds, message", [
+        ([0, 1], [0, 1], [math.inf], "one threshold per point"),
+        ([0, 0.5], [0, 1], [math.inf, 0.5], "from \\(0,0\\) to \\(1,1\\)"),
+        ([0.1, 1], [0, 1], [math.inf, 0.5], "from \\(0,0\\) to \\(1,1\\)"),
+        ([0, 0.6, 0.4, 1], [0, 0, 1, 1], [math.inf, 3, 2, 1], "fpr must be"),
+        ([0, 0, 1, 1], [0, 0.6, 0.4, 1], [math.inf, 3, 2, 1], "tpr must be"),
+    ])
+    def test_bad_curve_rejected(self, fpr, tpr, thresholds, message):
+        with pytest.raises(ValueError, match=message):
+            RocCurve(fpr=fpr, tpr=tpr, thresholds=thresholds)
+
+    def test_fields_are_float_arrays(self):
+        curve = RocCurve(fpr=[0, 1], tpr=[0, 1], thresholds=[math.inf, 1])
+        for field in (curve.fpr, curve.tpr, curve.thresholds):
+            assert isinstance(field, np.ndarray) and field.dtype == float
 
 
 class TestMwcsCap:
@@ -212,6 +268,25 @@ class TestMwcsCap:
 
 
 class TestEvaluateMulticlass:
+    @pytest.mark.parametrize("true, pred, message", [
+        ([0, 1, 2, 3], [0, 1, 2, -1], "prediction -1 outside 0..3"),
+        ([0, 1, 2, 3], [0, 1, 2, 4], "prediction 4 outside 0..3"),
+        ([0, 1, 5, 3], [0, 1, 2, 3], "label 5 outside 0..3"),
+        ([-2, 1, 2, 3], [0, 1, 2, 9], "label -2 outside 0..3"),
+    ])
+    def test_out_of_range_class_rejected(self, true, pred, message):
+        # unchecked, -1 would index the last column and 4 past the matrix
+        with pytest.raises(ValueError, match=message):
+            evaluate_multiclass(true, pred)
+
+    def test_confusion_counts_each_pair(self):
+        true = [0, 0, 1, 3, 3, 3, 2]
+        pred = [0, 1, 1, 3, 2, 3, 0]
+        want = np.zeros((4, 4), dtype=int)
+        for t, p in zip(true, pred):
+            want[t, p] += 1
+        np.testing.assert_array_equal(evaluate_multiclass(true, pred).confusion, want)
+
     def test_perfect_predictions(self):
         true = [0] * 5 + [1] * 7 + [2] * 6 + [3] * 2
         report = evaluate_multiclass(true, list(true))
@@ -274,13 +349,13 @@ class TestRocCsv:
         text = roc_to_csv(curve)
         lines = text.strip().split("\n")
         assert lines[0] == "threshold,fpr,tpr"
-        assert len(lines) == 1 + len(curve.points)
+        assert len(lines) == 1 + len(curve.fpr)
         parsed = [tuple(map(float, ln.split(","))) for ln in lines[1:]]
-        for (thr, f, t), pt, want_thr in zip(parsed, curve.points,
+        for (thr, f, t), pt, want_thr in zip(parsed, points(curve),
                                              curve.thresholds):
             assert (f, t) == pt
             assert thr == want_thr
         # repr round trip keeps the values exact
-        assert math.isclose(auc(RocCurve(points=[(f, t) for _, f, t in parsed],
-                                         thresholds=[p[0] for p in parsed])),
+        thr, fpr, tpr = zip(*parsed)
+        assert math.isclose(auc(RocCurve(fpr=fpr, tpr=tpr, thresholds=thr)),
                             auc(curve), abs_tol=0.0)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from neurofuzzy.data import EncodedSample
+from neurofuzzy.data import Dataset
 from neurofuzzy.errors import ModelFormatError
 from neurofuzzy.mlp import (MlpModel, MlpTrainingConfig, build_mlp, logsig,
                             mlp_forward, mlp_loss_and_gradients, sweep_hidden,
@@ -14,12 +14,8 @@ from neurofuzzy.model_io import load_model, model_to_json, save_model
 
 
 def toy_samples(n, rng, input_dim=5):
-    out = []
-    for _ in range(n):
-        feats = np.where(rng.uniform(size=input_dim) < 0.5, -1.0, 1.0)
-        c = (feats[0] > 0) * 2 + (feats[1] > 0)
-        out.append(EncodedSample(features=feats, class_index=int(c)))
-    return out
+    X = np.where(rng.uniform(size=(n, input_dim)) < 0.5, -1.0, 1.0)
+    return Dataset(X, (X[:, 0] > 0) * 2 + (X[:, 1] > 0))
 
 
 def numeric_loss(model, X, T, loss):
@@ -195,9 +191,7 @@ class TestTraining:
         model = build_mlp(hidden=8, seed=0)
         trained, trace = train_backprop(
             model, samples, [], MlpTrainingConfig(epochs=500, learn_rate=0.5))
-        X = np.array([s.features for s in samples])
-        true = np.array([s.class_index for s in samples])
-        assert np.all(trained.classify(X)[0] == true)
+        assert np.all(trained.classify(samples.X)[0] == samples.labels)
         assert trace.train_mse[-1] < trace.train_mse[0]
 
     def test_small_rate_never_increases_full_batch_loss(self):
@@ -213,8 +207,9 @@ class TestTraining:
         rng = np.random.default_rng(5)
         samples = toy_samples(30, rng)
         config = MlpTrainingConfig(epochs=10, learn_rate=0.3)
-        a, ta = train_backprop(build_mlp(seed=4), samples, samples[:8], config)
-        b, tb = train_backprop(build_mlp(seed=4), samples, samples[:8], config)
+        test = samples.take(range(8))
+        a, ta = train_backprop(build_mlp(seed=4), samples, test, config)
+        b, tb = train_backprop(build_mlp(seed=4), samples, test, config)
         assert model_to_json(a) == model_to_json(b)
         assert ta.train_mse == tb.train_mse
         assert ta.test_mse == tb.test_mse

@@ -15,7 +15,10 @@ every output under the temporary directory:
 - ``compare`` over every config, and ``dataset-stats``;
 - the misuse cases in ``misuse``, which exit 2 to 5 (bad config, bad
   data, a class absent from the data, bad model files), their model
-  files edited from the side's own trained models.
+  files edited from the side's own trained models.  Each faulty data
+  file (a non-numeric, out-of-range or missing cell, a missing or
+  duplicated column, two faults in one file in either order) goes
+  through both ``dataset-stats`` and ``train``.
 
 Each command's stdout and stderr, with the temporary paths replaced, are
 output files too.  The report gives each output file as "identical",
@@ -95,6 +98,20 @@ def misuse(inp, run, dataset):
                              if not line.rstrip().endswith(",High")),
                      encoding="utf-8")
     badlabel.write_text(lines[0] + "0.1,0.2,0.3,0.4,0.5,Expert\n", encoding="utf-8")
+    faults = {
+        "non-numeric": lines[0] + "0.1,0.2,abc,0.4,0.5,Low\n",
+        "out-of-range": lines[0] + "0.1,1.2,0.3,0.4,0.5,Low\n",
+        "short-row": lines[0] + "0.1,0.2,0.3,0.4\n",
+        "missing-column": "STG,SCG,STR,LPR,UNS\n0.1,0.2,0.3,0.4,Low\n",
+        "duplicated-column": ("STG,SCG,STR,LPR,PEG,stg,UNS\n"
+                              "0.1,0.2,0.3,0.4,0.5,0.5,Low\n"),
+        "two-faults": "".join(lines[:3]) + "0.1,0.2,0.3,1.5,0.5,Low\n"
+                      + lines[3] + "0.1,0.2,0.3,0.4,0.5,Expert\n",
+        "two-faults-reversed": "".join(lines[:3]) + "0.1,0.2,0.3,0.4,0.5,Expert\n"
+                               + lines[3] + "0.1,0.2,0.3,1.5,0.5,Low\n",
+    }
+    for name, text in faults.items():
+        (inp / f"{name}.csv").write_text(text, encoding="utf-8")
     unknown_key = inp / "unknown_key.cfg"
     unknown_key.write_text(f"dataset={dataset}\ncolour=red\n", encoding="utf-8")
     (inp / "a_file").write_text("", encoding="utf-8")
@@ -147,6 +164,10 @@ def misuse(inp, run, dataset):
                                  "--split", "none", "--class-index", "3",
                                  "--out", str(run / "absent.csv")]),
     ]
+    cases += [(f"misuse-data-{name}-{command}",
+               [command, "--dataset", str(inp / f"{name}.csv"),
+                *(["--out-dir", str(run / f"bad-{name}")] if command == "train" else [])])
+              for name in faults for command in ("dataset-stats", "train")]
     return cases + [(f"misuse-model-{name}", ["evaluate", path, *data,
                                               "--split", "none"])
                     for name, path in models.items()]
