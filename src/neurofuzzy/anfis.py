@@ -357,14 +357,17 @@ def _ridge_solve(A, b, ridge):
     return np.linalg.lstsq(A, b, rcond=None)[0]
 
 
-def lse_consequents(model, X, targets, ridge=1e-8, *, counts=None):
+def lse_consequents(model, X, targets, ridge=1e-8, *, counts=None,
+                    normalized=None):
     """Globally optimal consequents for the current premises.
 
     Minimizes ||Phi p - t||^2 + ridge * ||p||^2 exactly; premises are
     untouched.  Repeated input rows are folded first: each distinct row
     enters once against its mean target, weighted by the square root of
     its count.  ``counts`` says X is already folded: row i stands for
-    ``counts[i]`` samples and ``targets[i]`` is their mean.  The smaller
+    ``counts[i]`` samples and ``targets[i]`` is their mean.  With it,
+    ``normalized`` may give the rows' normalized firing strengths (g, R)
+    under the current premises, in place of a forward pass.  The smaller
     ridge Gram, dual or primal, is factored by Cholesky; a zero ridge
     falls back to least squares.  Returns the residual train RMSE over
     all rows, less the targets' spread within rows if ``counts`` is given.
@@ -375,6 +378,8 @@ def lse_consequents(model, X, targets, ridge=1e-8, *, counts=None):
         raise ValueError("need at least one training sample")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(targets))):
         raise NumericError("consequent solve given non-finite inputs or targets")
+    if counts is None and normalized is not None:
+        raise ValueError("normalized strengths need folded rows and their counts")
     within_ss = 0.0
     if counts is None:
         X, counts, targets, within_ss = _fold_rows(X, targets[None])
@@ -382,7 +387,7 @@ def lse_consequents(model, X, targets, ridge=1e-8, *, counts=None):
     elif not (np.shape(counts) == targets.shape == (len(X),)
               and np.all(np.asarray(counts) > 0)):
         raise ValueError("counts and targets need one value per row, counts > 0")
-    _, _, Wbar, _, _ = _forward_batch(model, X)
+    Wbar = _forward_batch(model, X)[2] if normalized is None else normalized
     weight = np.sqrt(counts)
     A = _design_matrix(model, Wbar, X) * weight[:, None]
     b = targets * weight
@@ -498,14 +503,15 @@ def _train(members, train, test, config):
     live = list(range(len(members)))
     for _ in range(config.epochs):
         for c in live:
-            lse_consequents(members[c], rows, means[c], config.ridge, counts=counts)
+            lse_consequents(members[c], rows, means[c], config.ridge,
+                            counts=counts, normalized=layers[4][c])
         consequents = np.array([m.consequents for m in members])
         if shape.trainable:
             _, grads = _loss_and_grads(model, layers, rows, consequents, fold)
             P[live] = _stepped(shape, P[live], grads[live], config.learn_rate)
             for c in live:
                 members[c].mf_bank = shape.unstack(P[c])
-            # one pass serves this epoch's RMSE and the next one's gradient
+            # one pass serves this epoch's RMSE, the next one's solve and gradient
             layers = _layers(model, P, rows, True)
         rmse = np.sqrt(_loss_and_grads(model, layers, rows, consequents, fold, False)[0])
         for c in live:

@@ -133,7 +133,7 @@ def load_dataset(path):
         columns = [(name, positions[name]) for name in ATTRIBUTES]
         label_idx = positions[LABEL_COLUMN]
 
-        values, labels = [], []
+        values, labels, label_index = [], [], {}   # label text -> class index
         for row_no, row in enumerate(reader, start=1):
             if not any(cell.strip() for cell in row):
                 continue  # trailing blank line
@@ -150,7 +150,9 @@ def load_dataset(path):
                     raise _fault(path, row_no, name, f"value {value} outside [0, 1]")
                 values.append(value)
             label_cell = row[label_idx].strip() if label_idx < len(row) else ""
-            class_index = normalize_label(label_cell)
+            if label_cell not in label_index:
+                label_index[label_cell] = normalize_label(label_cell)
+            class_index = label_index[label_cell]
             if class_index is None:
                 raise _fault(path, row_no, LABEL_COLUMN,
                              f"unknown label {label_cell!r}")

@@ -233,9 +233,10 @@ def evaluate_multiclass(true_labels, predicted, scores=None, class_names=None):
         raise ValueError("label lists must be non-empty")
 
     for what, values in (("label", true_labels), ("prediction", predicted)):
-        bad = values[(values < 0) | (values > 3)]
+        bad = values[~((values >= 0) & (values <= 3) & (np.floor(values) == values))]
         if bad.size:
             raise ValueError(f"{what} {bad[0]} outside 0..3")
+    true_labels, predicted = true_labels.astype(int), predicted.astype(int)
     n = len(true_labels)
     confusion = np.bincount(4 * true_labels + predicted, minlength=16).reshape(4, 4)
     right = int(np.trace(confusion))

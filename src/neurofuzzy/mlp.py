@@ -47,12 +47,8 @@ def tansig(x):
 def logsig(x):
     """Logistic sigmoid, 1 / (1 + exp(-x)), range (0, 1)."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    ex = np.exp(-np.abs(x))       # never overflows, unlike exp(-x) below 0
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
 # name: (activation, its derivative written in terms of the activation output)
@@ -202,18 +198,19 @@ def _loss_value(model, O, T, loss):
     return float(-np.mean(T * np.log(Oc) + (1.0 - T) * np.log(1.0 - Oc)))
 
 
-def mlp_loss_and_gradients(model, X, T, loss="mse"):
+def mlp_loss_and_gradients(model, X, T, loss="mse", *, forward=None):
     """Loss and its gradient in every weight and bias.
 
     The loss averages over all output elements, so gradients are
-    per-element means.  Returns (loss, grads dict keyed like the model
-    fields).
+    per-element means.  ``forward``, the ``(O, H)`` of ``mlp_forward``
+    on X under the current weights, stands in for that pass.  Returns
+    (loss, grads dict keyed like the model fields).
     """
     X = np.asarray(X, dtype=float)
     T = np.asarray(T, dtype=float)
     if loss == "cross_entropy" and model.output_activation != "logsig":
         raise ValueError("cross_entropy needs a logsig output layer")
-    O, H = mlp_forward(model, X)
+    O, H = mlp_forward(model, X) if forward is None else forward
     size = O.size
     if loss == "mse":
         slope = _ACTIVATIONS[model.output_activation][1]
@@ -245,25 +242,29 @@ def train_backprop(model, train, test, config):
     Full-batch mode takes one step per epoch; stochastic mode takes one
     step per sample in a seeded shuffled order.  The trace records the
     full-set mean squared error after each epoch regardless of the
-    training loss.
+    training loss, from one forward pass that full-batch mode also hands
+    to the next epoch's gradient: E epochs make E + 1 passes.
     """
     if not train:
         raise ValueError("training set is empty")
     model = copy.deepcopy(model)
     X, _, T, _ = to_arrays(train)
     rng = np.random.default_rng(config.seed)
+    full = config.batch_mode == "full"
+    forward = mlp_forward(model, X) if full else None
 
     trace = MlpTrainingTrace()
     for _ in range(config.epochs):
-        if config.batch_mode == "full":
-            _, grads = mlp_loss_and_gradients(model, X, T, config.loss)
+        if full:
+            _, grads = mlp_loss_and_gradients(model, X, T, config.loss,
+                                              forward=forward)
             _apply_gradients(model, grads, config.learn_rate)
         else:
             for k in rng.permutation(len(X)):
                 _, grads = mlp_loss_and_gradients(
                     model, X[k:k + 1], T[k:k + 1], config.loss)
                 _apply_gradients(model, grads, config.learn_rate)
-        O, _ = mlp_forward(model, X)
+        forward = O, _ = mlp_forward(model, X)
         if not np.all(np.isfinite(O)):
             raise NumericError("training diverged to non-finite outputs")
         mse = float(np.mean((O - T) ** 2))

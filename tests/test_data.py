@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from neurofuzzy import data
 from neurofuzzy.data import (CLASS_LABELS, Dataset, binarize,
                              class_distribution, kfold, load_dataset,
                              normalize_label, passthrough, predefined_split,
@@ -69,6 +70,15 @@ class TestLoadDataset:
         path = write_csv(tmp_path, ["0.1,0.2,0.3,0.4,0.5,extreme"])
         with pytest.raises(DataLoadError, match="unknown label"):
             load_dataset(path)
+
+    def test_each_label_text_normalized_once(self, tmp_path, monkeypatch):
+        texts = []
+        monkeypatch.setattr(data, "normalize_label",
+                            lambda text: texts.append(text) or normalize_label(text))
+        path = write_csv(tmp_path, [f"0.1,0.2,0.3,0.4,0.5,{label}" for label in (
+            "low", "High", "low", " low ", "High", "very_low")])
+        assert load_dataset(path).labels.tolist() == [1, 3, 1, 1, 3, 0]
+        assert texts == ["low", "High", "very_low"]
 
     def test_missing_column_rejected(self, tmp_path):
         path = write_csv(tmp_path, ["0.1,0.2,0.3,0.4,low"],

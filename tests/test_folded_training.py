@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 import hybrid_reference as reference
-from neurofuzzy.anfis import (TrainingConfig, build_grid_model,
-                              ensemble_predict_classes, lse_consequents,
-                              predict_classes, premise_gradients,
-                              train_hybrid, train_oaa)
+from neurofuzzy import anfis
+from neurofuzzy.anfis import (TrainingConfig, _fold_rows, _layers,
+                              build_grid_model, ensemble_predict_classes,
+                              lse_consequents, predict_classes,
+                              premise_gradients, train_hybrid, train_oaa)
 from neurofuzzy.data import Dataset, to_arrays
+from neurofuzzy.fuzzy import MF_SHAPES
 from neurofuzzy.model_io import model_to_json
 from test_anfis import random_model
 
@@ -180,6 +182,46 @@ class TestFoldedStatistics:
         with pytest.raises(ValueError):
             lse_consequents(model, np.zeros((3, 2)) + [[0], [1], [2]],
                             targets, counts=counts)
+
+    @pytest.mark.parametrize("shape", ["gbell", "gauss2", "triangular"])
+    def test_given_normalized_strengths_give_the_same_solve(self, shape):
+        rng = np.random.default_rng(44)
+        for mfs in (2, 3):                        # primal, then dual form
+            model = (build_grid_model(shape, mfs_per_input=mfs, input_dim=2)
+                     if shape == "triangular"
+                     else random_model(rng, mf_shape=shape, input_dim=2, mfs=mfs))
+            X, t = repeated_design(rng)
+            rows, counts, means, _ = _fold_rows(X, t[None])
+            # the strengths as the epoch loop holds them, from its own pass
+            bank = MF_SHAPES[shape]
+            normalized = _layers(model, bank.stack(model.mf_bank)[None], rows,
+                                 bank.trainable)[4][0]
+            raw, plain, given = (copy.deepcopy(model) for _ in range(3))
+            lse_consequents(raw, X, t)
+            want = lse_consequents(plain, rows, means[0], counts=counts)
+            got = lse_consequents(given, rows, means[0], counts=counts,
+                                  normalized=normalized)
+            assert got == want
+            assert (given.consequents.tobytes() == plain.consequents.tobytes()
+                    == raw.consequents.tobytes())
+
+    def test_normalized_strengths_need_counts(self):
+        model = random_model(np.random.default_rng(45), input_dim=2)
+        X = np.array([[0.0, 0.5], [0.5, 0.0]])
+        with pytest.raises(ValueError, match="counts"):
+            lse_consequents(model, X, np.ones(2),
+                            normalized=np.full((2, model.n_rules), 0.25))
+
+    @pytest.mark.parametrize("shape", ["gauss2", "triangular"])
+    def test_solve_reuses_the_epoch_loops_pass(self, monkeypatch, shape):
+        passes = []
+        forward = anfis._forward_batch
+        monkeypatch.setattr(anfis, "_forward_batch",
+                            lambda *args: passes.append(1) or forward(*args))
+        samples = conflicting_samples(np.random.default_rng(46), 40, 10)
+        train_oaa(build_grid_model(shape, input_dim=3), samples, [],
+                  TrainingConfig(epochs=3))
+        assert passes == []
 
     @pytest.mark.parametrize("shape", ["gauss2", "triangular"])
     def test_oaa_member_equals_training_it_alone(self, shape):

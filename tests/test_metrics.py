@@ -279,6 +279,22 @@ class TestEvaluateMulticlass:
         with pytest.raises(ValueError, match=message):
             evaluate_multiclass(true, pred)
 
+    @pytest.mark.parametrize("true, pred, message", [
+        ([0.0, 1.0, 2.5, 3.0], [0, 1, 2, 3], "label 2.5 outside 0..3"),
+        ([0, 1, 2, 3], [0.0, 1.0, 2.0, 0.5], "prediction 0.5 outside 0..3"),
+        ([0.0, np.nan, 2.0, 3.0], [0, 1, 2, 3], "label nan outside 0..3"),
+        ([0, 1, 2, 3], [0.0, 1.0, 2.0, np.inf], "prediction inf outside 0..3"),
+    ])
+    def test_non_integer_class_rejected(self, true, pred, message):
+        with pytest.raises(ValueError, match=message):
+            evaluate_multiclass(true, pred)
+
+    def test_integral_floats_score_as_their_integers(self):
+        true, pred = [0, 0, 1, 3, 3, 2], [0, 1, 1, 3, 2, 2]
+        want = evaluate_multiclass(true, pred).to_dict()
+        assert evaluate_multiclass(np.array(true, dtype=float),
+                                   np.array(pred, dtype=float)).to_dict() == want
+
     def test_confusion_counts_each_pair(self):
         true = [0, 0, 1, 3, 3, 3, 2]
         pred = [0, 1, 1, 3, 2, 3, 0]

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import mlp_reference as reference
+from neurofuzzy import mlp
 from neurofuzzy.data import Dataset
-from neurofuzzy.errors import ModelFormatError
+from neurofuzzy.errors import ModelFormatError, NumericError
 from neurofuzzy.mlp import (MlpModel, MlpTrainingConfig, build_mlp, logsig,
                             mlp_forward, mlp_loss_and_gradients, sweep_hidden,
                             tansig, train_backprop)
@@ -352,3 +354,89 @@ class TestSerialization:
         path.write_text(json.dumps(d), encoding="utf-8")
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+
+def weights_bytes(model):
+    return [getattr(model, name).tobytes() for name in reference.WEIGHTS]
+
+
+class TestOnePassLoop:
+    """Full-batch training, its handed-on forward pass and ``logsig``
+    against the two-pass loop and masked ``logsig`` in ``mlp_reference``."""
+
+    @staticmethod
+    def raw_samples(seed, n=48):
+        rng = np.random.default_rng(seed)
+        return Dataset(rng.uniform(0.0, 1.0, (n, 5)), rng.integers(0, 4, n))
+
+    @pytest.mark.parametrize("loss,out_act,early_stop", [
+        ("mse", "logsig", 0.0),
+        ("mse", "tansig", 0.0),
+        ("cross_entropy", "logsig", 0.0),
+        ("mse", "logsig", 0.05),
+    ])
+    def test_matches_two_pass_reference_bit_for_bit(self, loss, out_act,
+                                                    early_stop):
+        samples = (toy_samples(40, np.random.default_rng(7)) if early_stop
+                   else self.raw_samples(11))
+        model = build_mlp(hidden=7, seed=3, output_activation=out_act)
+        config = MlpTrainingConfig(epochs=300, learn_rate=0.5, loss=loss,
+                                   early_stop_mse=early_stop)
+        trained, trace = train_backprop(model, samples, [], config)
+        want, want_mse = reference.train_full_batch(model, samples, config)
+        assert weights_bytes(trained) == weights_bytes(want)
+        assert trace.train_mse == want_mse
+        assert trace.epochs_run == len(want_mse)
+        if early_stop:
+            assert trace.epochs_run < config.epochs
+
+    def test_divergence_still_raises(self):
+        # an infinite input saturates its row's hidden units, so the
+        # first step's hidden gradient takes 0 * inf and the weights turn NaN
+        rng = np.random.default_rng(0)
+        X = rng.uniform(-1.0, 1.0, (12, 5))
+        X[3, 2] = np.inf
+        samples = Dataset(X, rng.integers(0, 4, 12))
+        model = build_mlp(hidden=4, seed=0)
+        assert np.all(np.isfinite(mlp_forward(model, X)[0]))
+        config = MlpTrainingConfig(epochs=5)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericError, match="diverged"):
+                train_backprop(model, samples, [], config)
+            with pytest.raises(NumericError, match="diverged"):
+                reference.train_full_batch(model, samples, config)
+
+    @pytest.mark.parametrize("batch_mode,passes", [("full", 7 + 1),
+                                                   ("stochastic", 7)])
+    def test_one_full_set_pass_per_epoch(self, monkeypatch, batch_mode, passes):
+        rows = []
+        forward = mlp.mlp_forward
+        monkeypatch.setattr(mlp, "mlp_forward",
+                            lambda model, X: rows.append(len(X)) or forward(model, X))
+        train_backprop(build_mlp(seed=1), self.raw_samples(2, n=10), [],
+                       MlpTrainingConfig(epochs=7, batch_mode=batch_mode))
+        assert rows.count(10) == passes
+
+    def test_given_forward_gives_the_same_loss_and_gradients(self):
+        rng = np.random.default_rng(8)
+        X = rng.uniform(-1.0, 1.0, (15, 5))
+        T = np.eye(4)[rng.integers(0, 4, 15)]
+        for loss in ("mse", "cross_entropy"):
+            model = build_mlp(hidden=6, seed=2)
+            want_loss, want = mlp_loss_and_gradients(model, X, T, loss)
+            got_loss, got = mlp_loss_and_gradients(
+                model, X, T, loss, forward=mlp_forward(model, X))
+            assert got_loss == want_loss
+            assert {k: g.tobytes() for k, g in got.items()} == {
+                k: g.tobytes() for k, g in want.items()}
+
+    def test_logsig_matches_masked_reference_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        x = np.concatenate([
+            rng.uniform(-800.0, 800.0, 5000), rng.normal(0.0, 5.0, 5000),
+            [0.0, -0.0, np.inf, -np.inf, 709.0, -709.0, 745.0, -745.0, np.nan]])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = logsig(x)
+        want = reference.logsig(x)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert got[~np.isnan(want)].tobytes() == want[~np.isnan(want)].tobytes()

@@ -52,6 +52,10 @@ CONFIGS = {
     "mlp-full": {"model": "mlp", "epochs": 200, "learn_rate": 0.5},
     "mlp-stochastic-ce": {"model": "mlp", "epochs": 20, "learn_rate": 0.2,
                           "batch_mode": "stochastic", "loss": "cross_entropy"},
+    "mlp-raw-full-ce": {"model": "mlp", "encoding": "passthrough", "epochs": 200,
+                        "learn_rate": 0.5, "loss": "cross_entropy"},
+    "mlp-tansig-out": {"model": "mlp", "epochs": 200, "learn_rate": 0.5,
+                       "output_activation": "tansig"},
     "kfold-passthrough": {"encoding": "passthrough", "split": "kfold",
                           "folds": 5, "fold": 2, "epochs": 20},
     "triangular-none": {"mf_shape": "triangular", "split": "none",
