@@ -509,8 +509,6 @@ def _train(members, train, test, config):
         if shape.trainable:
             _, grads = _loss_and_grads(model, layers, rows, consequents, fold)
             P[live] = _stepped(shape, P[live], grads[live], config.learn_rate)
-            for c in live:
-                members[c].mf_bank = shape.unstack(P[c])
             # one pass serves this epoch's RMSE, the next one's solve and gradient
             layers = _layers(model, P, rows, True)
         rmse = np.sqrt(_loss_and_grads(model, layers, rows, consequents, fold, False)[0])
@@ -521,6 +519,9 @@ def _train(members, train, test, config):
             live = [c for c in live if rmse[c] > config.early_stop_rmse]
         if not live:
             break
+    if shape.trainable:                 # a frozen member's P stopped with it
+        for member, premises in zip(members, P):
+            member.mf_bank = shape.unstack(premises)
 
     X_test, T_test = _targets(members, test) if test else (None, ())
     for member, trace, t in zip(members, traces, T_test):

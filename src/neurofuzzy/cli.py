@@ -29,7 +29,7 @@ from .errors import (ConfigError, DataLoadError, ModelFormatError,
                      NeurofuzzyError, NumericError, SplitError)
 from .metrics import auc, cap_consistent, evaluate_multiclass, roc_curve, roc_to_csv
 from .mlp import MlpTrainingConfig, build_mlp, train_backprop
-from .model_io import load_model, save_model
+from .model_io import load_model, model_to_json
 
 __all__ = ["RunConfig", "read_config_file", "build_run_config", "main"]
 
@@ -191,9 +191,7 @@ def _trainer(cfg):
 
 def _accuracy_line(model, samples):
     X, _, _, labels = to_arrays(samples)
-    predicted, _ = model.classify(X)
-    right = int(np.sum(predicted == labels))
-    return right, len(samples)
+    return int(np.sum(model.classify(X)[0] == labels)), len(samples)
 
 
 def _make_out_dir(path):
@@ -222,8 +220,7 @@ def cmd_train(args):
 
     model, trace_dict, lines = run(train_samples, test_samples)
 
-    save_model(model, out_dir / "model.json")
-    print(f"wrote {out_dir / 'model.json'}")
+    _write_text(out_dir / "model.json", model_to_json(model))
     _write_text(out_dir / "trace.json",
                 json.dumps(trace_dict, indent=2) + "\n")
     if split is not None:
@@ -244,6 +241,9 @@ def _scored_selection(args):
     that does not score the four classes raises ModelFormatError.
     """
     model = load_model(args.model_file)
+    if getattr(model, "output_mode", None) == "binary":
+        raise ModelFormatError(f"{args.model_file}: a binary model is one "
+                               "one-against-all member, not a classifier")
     cfg = build_run_config(args.config, _overrides_from_args(args))
     _, encoded = _load_encoded(cfg)
     split = _build_split(cfg, encoded)
@@ -369,10 +369,7 @@ def cmd_compare(args):
     for base in baselines["rows"]:
         # a full ulp at the row's printed precision tolerates rounding
         # either way; anything beyond it is genuinely inconsistent
-        if "cap_decimals" in base:
-            tol = 10.0 ** (-base["cap_decimals"])
-        else:
-            tol = 0.005
+        tol = 10.0 ** (-base["cap_decimals"]) if "cap_decimals" in base else 0.005
         rows.append({
             "method": base["method"],
             "status": "published",

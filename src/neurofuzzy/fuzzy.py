@@ -69,10 +69,11 @@ class MembershipFunction:
 
     @classmethod
     def stack(cls, rows):
-        """Parameters (d, M, K) of a grid of functions of this shape."""
+        """Parameters (d, M, K) of a grid of functions of this shape: each
+        record's ``vars``, which ``__init__`` fills with its fields in order."""
         if any(type(mf) is not cls for row in rows for mf in row):
             raise ValueError(f"a {cls.shape_name} bank holds another shape")
-        return np.array([[mf.params() for mf in row] for row in rows])
+        return np.array([[list(vars(mf).values()) for mf in row] for row in rows])
 
     @classmethod
     def bank(cls, P):

@@ -230,10 +230,8 @@ def mlp_loss_and_gradients(model, X, T, loss="mse", *, forward=None):
 
 
 def _apply_gradients(model, grads, learn_rate):
-    model.w_out -= learn_rate * grads["w_out"]
-    model.b_out -= learn_rate * grads["b_out"]
-    model.w_hidden -= learn_rate * grads["w_hidden"]
-    model.b_hidden -= learn_rate * grads["b_hidden"]
+    for name, grad in grads.items():              # in place, field by field
+        getattr(model, name)[...] -= learn_rate * grad
 
 
 def train_backprop(model, train, test, config):

@@ -319,6 +319,20 @@ class TestEvaluate:
                      "--split", "none"]) == 3
 
 
+@pytest.mark.parametrize("command", [["evaluate"], ["roc", "--class-index", "1"]])
+def test_stand_alone_binary_model_exits_5(command, tmp_path, dataset, capsys):
+    """A binary model regresses one class's 0/1 target: scored alone, it
+    would be read as a class value 1..4."""
+    path = tmp_path / "binary.json"
+    path.write_text(model_to_json(build_grid_model(
+        "gauss2", input_dim=5, output_mode="binary", positive_class=1)),
+        encoding="utf-8")
+    out = ["--out", str(tmp_path / "out")]
+    assert main([command[0], str(path), *command[1:], *out, "--dataset", str(dataset),
+                 "--split", "none"]) == 5
+    assert "one one-against-all member" in capsys.readouterr().err
+
+
 class TestRoc:
     def test_curve_csv_and_printed_auc(self, trained, tmp_path, dataset,
                                        capsys):

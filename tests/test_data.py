@@ -1,9 +1,14 @@
+import contextlib
+import csv
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from neurofuzzy import data
+from neurofuzzy import data, synthetic
 from neurofuzzy.data import (CLASS_LABELS, Dataset, binarize,
                              class_distribution, kfold, load_dataset,
                              normalize_label, passthrough, predefined_split,
@@ -138,6 +143,122 @@ class TestLoadMessages:
         with pytest.raises(DataLoadError) as err:
             load_dataset(path)
         assert str(err.value) == f"{path}: duplicated column STG"
+
+
+def loaded(path, per_cell=False):
+    """What ``load_dataset`` gives: (X bytes, X shape, labels), or the
+    raised error's type and message.  ``per_cell`` runs the per-cell
+    loop alone, with the numpy pass declining every file."""
+    decline = mock.patch.object(data, "_read_columns", return_value=None)
+    with decline if per_cell else contextlib.nullcontext():
+        try:
+            ds = load_dataset(path)
+        except Exception as exc:                # compared as type and message
+            return type(exc).__name__, str(exc)
+    return ds.X.tobytes(), ds.X.shape, ds.labels.tolist()
+
+
+def write_raw(tmp_path, text, name="d.csv"):
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+ROW = "0.1,0.2,0.3,0.4,0.5,low"
+
+# name: file text; each loads to the same Dataset or error either way
+EDGE_FILES = {
+    "quoted-cells": HEADER + '"0.1","0.2",0.3,0.4,0.5,"low"\n',
+    "space-quoted": HEADER + '0.1, "0.2",0.3,0.4,0.5,low\n',
+    "space-quoted-label": HEADER + '0.1,0.2,0.3,0.4,0.5, "low"\n',
+    "doubled-quote": HEADER + '0.1,0.2,0.3,0.4,0.5,"lo""w"\n',
+    "comma-in-quoted-label": HEADER + '0.1,0.2,0.3,0.4,0.5,"very,low"\n',
+    "quoted-newline-label": HEADER + '0.1,0.2,0.3,0.4,0.5,"very\nlow"\n' + ROW + "\n",
+    "quoted-newline-header": '"STG\n",SCG,STR,LPR,PEG,UNS\n' + ROW + "\n",
+    "crlf": (HEADER + ROW + "\n" + ROW + "\n").replace("\n", "\r\n"),
+    "bare-cr": (HEADER + ROW + "\n" + ROW + "\n").replace("\n", "\r"),
+    "whitespace-only-line": HEADER + ROW + "\n   \n" + ROW + "\n",
+    "blank-cells-row": HEADER + ROW + "\n , ,,,,\n" + ROW + "\n",
+    "trailing-comma": HEADER + ROW + ",\n",
+    "extra-column": "STG,SCG,STR,LPR,PEG,UNS,NOTE\n" + ROW + ",x\n" + ROW + "\n",
+    "reordered-header": "UNS,PEG,LPR,STR,SCG,STG\nhigh,0.5,0.4,0.3,0.2,0.1\n",
+    "hash": HEADER + ROW + "\n#0.1,0.2,0.3,0.4,0.5,low\n",
+    "nan": HEADER + "0.1,0.2,nan,0.4,0.5,low\n",
+    "infinity": HEADER + "0.1,0.2,0.3,Infinity,0.5,low\n",
+    "negative-zero": HEADER + "-0,0.2,0.3,0.4,-0.0,low\n",
+    "underscore-digits": HEADER + "0.1,0_4,0.3,0.4,0.5,low\n",
+    "arabic-digit": HEADER + "0.1,\u0661,0.3,0.4,0.5,low\n",
+    "no-break-space": HEADER + "0.1,\u00a00.2\u00a0,0.3,0.4,0.5,\u00a0low\n",
+    "number-forms": HEADER + "+.5,5E-1, 0.30000000000000004 ,1.,0.1e1,High\n",
+    "padded-label": HEADER + ROW.replace("low", "  Very-Low\t") + "\n",
+    "short-row": HEADER + ROW + "\n0.1,0.2,0.3\n",
+    "empty-label": HEADER + "0.1,0.2,0.3,0.4,0.5,\n",
+    "header-only": HEADER,
+    "no-trailing-newline": HEADER + ROW + "\n" + ROW,
+    "field-over-csv-limit": HEADER.replace("UNS", "UNS,NOTE") + ROW + ","
+                            + "x" * (csv.field_size_limit() + 1) + "\n",
+    "quoted-field-over-csv-limit": HEADER.replace("UNS", "UNS,NOTE") + ROW + ',"'
+                                   + "x\n" * (csv.field_size_limit() // 2 + 1) + '"\n',
+}
+
+
+NUMBER = st.one_of(
+    st.floats(0, 1).map(repr), st.floats(0, 1).map("{:.2f}".format),
+    st.floats(0, 1).map("{:.17g}".format),
+    st.sampled_from(["+.5", "5E-1", " 0.5 ", '"0.5"', "-0", "1", "0", "\u00a00.5"]))
+WELL_FORMED_ROW = st.builds(
+    lambda cells, label, extra: ",".join(cells + [label] + extra),
+    st.lists(NUMBER, min_size=5, max_size=5),
+    st.sampled_from(["low", "High", " middle ", "very_low", '"Very Low"',
+                     '"lo\nw"', "VERY-LOW", '"hi""gh"']),
+    st.lists(st.sampled_from(["", "x", '"a,b"']), max_size=1))
+CELL = st.one_of(
+    NUMBER, st.floats(-1, 2).map("{:.17g}".format),
+    st.sampled_from(["1_0", "nan", "inf", "", " ", "abc", "\u0661", '0.5"',
+                     "1e999", "#", ' "low"', "low,", "expert"]),
+    st.text(alphabet='01.5e-+ ,"\r\n\t_lowhigLW\u00a0', max_size=6))
+ANY_ROW = st.lists(CELL, max_size=7).map(",".join)
+
+
+class TestLoadPaths:
+    """The numpy pass against the per-cell loop it falls back to."""
+
+    @pytest.mark.parametrize("text", EDGE_FILES.values(), ids=EDGE_FILES.keys())
+    def test_edge_file_loads_as_the_loop_does(self, tmp_path, text):
+        path = write_raw(tmp_path, text)
+        assert loaded(path) == loaded(path, per_cell=True)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.one_of(WELL_FORMED_ROW, WELL_FORMED_ROW, ANY_ROW), max_size=6),
+           st.sampled_from(["\n", "\r\n", "\r"]))
+    def test_any_file_loads_as_the_loop_does(self, tmp_path, rows, newline):
+        text = newline.join([HEADER.strip()] + rows) + newline
+        path = write_raw(tmp_path, text)
+        assert loaded(path) == loaded(path, per_cell=True)
+
+    @pytest.mark.parametrize("name", [
+        "bundled", "cohort", "quoted-cells", "crlf", "extra-column",
+        "reordered-header", "padded-label", "number-forms", "no-break-space",
+        "no-trailing-newline"])
+    def test_well_formed_file_never_reaches_the_loop(self, tmp_path, name):
+        if name == "bundled":
+            path = "data/ukm_synthetic.csv"
+        elif name == "cohort":
+            path = tmp_path / "cohort.csv"
+            synthetic.write_csv(synthetic.generate((500, 500, 500, 500)), path)
+        else:
+            path = write_raw(tmp_path, EDGE_FILES[name])
+        returned, read_columns = [], data._read_columns
+        with mock.patch.object(data, "_read_columns",
+                               lambda *args: returned.append(read_columns(*args))
+                               or returned[0]):
+            ds = load_dataset(path)
+        assert returned == [ds]           # the numpy pass's Dataset, not the loop's
+
+    def test_header_only_file_leaks_no_warning(self, tmp_path, recwarn):
+        assert len(load_dataset(write_raw(tmp_path, HEADER))) == 0
+        assert not recwarn.list
 
 
 class TestBinarize:

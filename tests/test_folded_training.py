@@ -223,6 +223,16 @@ class TestFoldedStatistics:
                   TrainingConfig(epochs=3))
         assert passes == []
 
+    def test_premise_records_written_once_per_member(self, monkeypatch):
+        shape = MF_SHAPES["gauss2"]
+        calls, unstack = [], shape.unstack
+        monkeypatch.setattr(shape, "unstack", classmethod(
+            lambda cls, P: calls.append(1) or unstack(P)))
+        samples = conflicting_samples(np.random.default_rng(47), 40, 10)
+        train_oaa(build_grid_model("gauss2", input_dim=3), samples, [],
+                  TrainingConfig(epochs=100))
+        assert len(calls) == 4
+
     @pytest.mark.parametrize("shape", ["gauss2", "triangular"])
     def test_oaa_member_equals_training_it_alone(self, shape):
         rng = np.random.default_rng(43)

@@ -131,6 +131,17 @@ class TestRoundTrip:
             mf_from_dict({"shape": "trapezoid", "a": 1})
 
 
+class TestStack:
+    @pytest.mark.parametrize("shape", [GeneralizedBell, TwoSidedGaussian, Triangular])
+    def test_matches_per_record_params(self, shape):
+        rng = np.random.default_rng(7)
+        bank = [shape.grid(lo, hi, 3) for lo, hi in rng.uniform([-1, 0.1], [0, 1], (5, 2))]
+        got = shape.stack(bank)
+        want = np.array([[mf.params() for mf in row] for row in bank])
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 class TestRepair:
     """Each shape's repair of stepped parameters, on a (d, M, K) block."""
 

@@ -18,7 +18,11 @@ every output under the temporary directory:
   files edited from the side's own trained models.  Each faulty data
   file (a non-numeric, out-of-range or missing cell, a missing or
   duplicated column, two faults in one file in either order) goes
-  through both ``dataset-stats`` and ``train``.
+  through both ``dataset-stats`` and ``train``;
+- the bundled data rewritten in well-formed but unusual ways (quoted
+  cells, CRLF line ends, an extra column, a reordered header, a
+  whitespace-only line, padded label text), each through
+  ``dataset-stats`` and ``train``.
 
 Each command's stdout and stderr, with the temporary paths replaced, are
 output files too.  The report gives each output file as "identical",
@@ -177,6 +181,31 @@ def misuse(inp, run, dataset):
                     for name, path in models.items()]
 
 
+def unusual_data(inp, run, dataset):
+    """(name, argv) of ``dataset-stats`` and ``train`` on well-formed but
+    unusual rewrites of ``dataset``, whose lines end in LF but the crlf
+    file's (the bundled file's own line ends are CRLF)."""
+    rows = [line.split(",") for line in
+            Path(dataset).read_text(encoding="utf-8").splitlines()]
+    middle = len(rows) // 2
+    files = {
+        "quoted-cells": [[f'"{cell}"' for cell in row] for row in rows],
+        "crlf": rows,
+        "extra-column": [row + ["NOTE" if k == 0 else "x"] for k, row in enumerate(rows)],
+        "reordered-header": [row[::-1] for row in rows],
+        "whitespace-only-line": rows[:middle] + [["   "]] + rows[middle:],
+        "padded-label": [row[:-1] + [f"  {row[-1]}\t"] for row in rows],
+    }
+    for name, table in files.items():
+        end = "\r\n" if name == "crlf" else "\n"
+        (inp / f"{name}.csv").write_bytes(
+            "".join(",".join(row) + end for row in table).encode("utf-8"))
+    return [(f"data-{name}-{command}",
+             [command, "--dataset", str(inp / f"{name}.csv"),
+              *(["--out-dir", str(run / f"data-{name}")] if command == "train" else [])])
+            for name in files for command in ("dataset-stats", "train")]
+
+
 def run_side(tree, run):
     """Run the command set with ``tree``'s program into ``run``; returns
     {command name: exit code}."""
@@ -216,7 +245,7 @@ def run_side(tree, run):
     cli("compare", ["compare", *map(str, configs.values()),
                     "--out-dir", str(run / "compare")])
     cli("dataset-stats", ["dataset-stats", "--dataset", str(dataset)])
-    for name, argv in misuse(inp, run, dataset):
+    for name, argv in unusual_data(inp, run, dataset) + misuse(inp, run, dataset):
         cli(name, argv)
     return codes
 
