@@ -253,9 +253,17 @@ def build_grid_model(mf_shape, mfs_per_input=2, input_range=(-1.0, 1.0),
 
 
 def _firing(model, D, skip=None):
-    """(..., R, g): each rule's product of degrees over the inputs but ``skip``."""
-    return math.prod(D[..., j, model.antecedents[:, j], :]
-                     for j in range(model.input_dim) if j != skip)
+    """(..., R, g): each rule's product of degrees over the inputs but ``skip``:
+    its cell of their outer-product grid, built in ``math.prod``'s order."""
+    kept = [j for j in range(model.input_dim) if j != skip]
+    if not kept:
+        return 1.0
+    *lead, _, _, g = D.shape
+    grid = D[..., kept[0], :, :]
+    for j in kept[1:]:
+        grid = (grid[..., None, :] * D[..., j, None, :, :]).reshape(*lead, -1, g)
+    return grid[..., np.ravel_multi_index([model.antecedents[:, j] for j in kept],
+                                          (model.mfs_per_input,) * len(kept)), :]
 
 
 def _layers(model, P, X, grads=False):
@@ -314,12 +322,14 @@ def anfis_forward(model, x):
         contributions=Wbar[0] * F[0], degenerate=bool(degen[0]))
 
 
-def _design_matrix(model, Wbar, X):
+def _design_matrix(model, Wbar, X, weight):
+    """The solve's rows, each scaled by its weight; ``Wbar`` is not written."""
     if model.consequent_order == "constant":
-        return Wbar
+        return Wbar * weight[:, None]
     X1 = np.hstack([np.ones((X.shape[0], 1)), X])
     # rule-major blocks: [wbar_i, wbar_i * x_1, ..., wbar_i * x_d] per rule
-    return (Wbar[:, :, None] * X1[:, None, :]).reshape(X.shape[0], -1)
+    A = Wbar[:, :, None] * X1[:, None, :]
+    return np.multiply(A, weight[:, None, None], out=A).reshape(X.shape[0], -1)
 
 
 def _fold_rows(X, targets):
@@ -389,7 +399,7 @@ def lse_consequents(model, X, targets, ridge=1e-8, *, counts=None,
         raise ValueError("counts and targets need one value per row, counts > 0")
     Wbar = _forward_batch(model, X)[2] if normalized is None else normalized
     weight = np.sqrt(counts)
-    A = _design_matrix(model, Wbar, X) * weight[:, None]
+    A = _design_matrix(model, Wbar, X, weight)
     b = targets * weight
     solution = _ridge_solve(A, b, ridge)
     if not np.all(np.isfinite(solution)):

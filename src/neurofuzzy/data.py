@@ -110,22 +110,32 @@ def _fault(path, row_no, column, what):
 def load_dataset(path):
     """Parse a dataset file into a Dataset of attribute values, in file order.
 
-    Raises DataLoadError for a missing/duplicated column, a non-numeric
-    or out-of-range attribute, or an unrecognized label; messages name
-    the 1-based data row and the column of the first fault, checking
-    each row's attributes in ``ATTRIBUTES`` order and then its label.
-    The rows are read by ``loadtxt`` where that gives the loop's result.
+    Raises DataLoadError for text that is not UTF-8, a field over the csv
+    size limit, a missing/duplicated column, a non-numeric or out-of-range
+    attribute, or an unrecognized label; messages name the 1-based data
+    row and the column of the first fault, checking each row's attributes
+    in ``ATTRIBUTES`` order and then its label.  The rows are read by
+    ``loadtxt`` where that gives the loop's result.
     """
     path = Path(path)
     if not path.is_file():
         raise DataLoadError(f"dataset file not found: {path}")
+    try:
+        return _parse(path)
+    except UnicodeDecodeError as exc:   # either path; its offset is within a read chunk
+        raise DataLoadError(f"{path}: not UTF-8 text ({exc.reason}, "
+                            f"byte 0x{exc.object[exc.start]:02x})") from None
 
+
+def _parse(path):
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(iter(fh.readline, ""))    # leaves fh.tell() usable
         try:
             header = next(reader)
         except StopIteration:
             raise DataLoadError(f"{path}: file is empty") from None
+        except csv.Error as exc:                      # a field over the csv limit
+            raise DataLoadError(f"{path}: header: {exc}") from None
 
         positions = {}
         for idx, name in enumerate(header):
@@ -145,7 +155,7 @@ def load_dataset(path):
             return dataset
         fh.seek(start)
         values, labels, label_index = [], [], {}   # label text -> class index
-        for row_no, row in enumerate(reader, start=1):
+        for row_no, row in _numbered(path, reader):
             if not any(cell.strip() for cell in row):
                 continue  # trailing blank line
             for name, idx in columns:
@@ -170,6 +180,16 @@ def load_dataset(path):
             labels.append(class_index)
 
     return Dataset(np.reshape(values, (-1, len(ATTRIBUTES))), labels)
+
+
+def _numbered(path, reader):
+    """``reader``'s rows numbered from 1; a csv refusal names its row."""
+    row_no = 0
+    try:
+        for row_no, row in enumerate(reader, start=1):
+            yield row_no, row
+    except csv.Error as exc:
+        raise DataLoadError(f"{path}: data row {row_no + 1}: {exc}") from None
 
 
 def _read_columns(path, fh, usecols):

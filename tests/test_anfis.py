@@ -2,6 +2,7 @@ import copy
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -182,6 +183,64 @@ class TestForward:
         d = anfis_forward(model, np.array([50.0]))
         assert d.degenerate
         np.testing.assert_allclose(d.normalized, [0.5, 0.5])
+
+
+def gathered_firing(model, D, skip=None):
+    """Each rule's degrees gathered rule by rule and multiplied by
+    ``math.prod``: the oracle for the grid ``anfis._firing`` builds."""
+    return math.prod(D[..., j, model.antecedents[:, j], :]
+                     for j in range(model.input_dim) if j != skip)
+
+
+def rule_tables(rng, d, M):
+    """(name, antecedents): the canonical grid and three other tables."""
+    grid = build_grid_model("gbell", mfs_per_input=M, input_dim=d).antecedents
+    subset = np.sort(rng.choice(len(grid), size=max(1, len(grid) // 3),
+                                replace=False))
+    return [("canonical", grid), ("permuted", grid[rng.permutation(len(grid))]),
+            ("subset", grid[subset]), ("repeated-row", np.vstack([grid, grid[-1:]]))]
+
+
+class TestFiringGrid:
+    """The outer-product rule layer, byte for byte against the gather."""
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("M", [2, 3])
+    @pytest.mark.parametrize("lead", [(), (4,), (2, 3)],
+                             ids=["no-member-axis", "members", "two-axes"])
+    def test_bytes_equal_the_gather(self, d, M, lead):
+        rng = np.random.default_rng(100 + 10 * d + M)
+        D = rng.uniform(0.0, 1.0, size=lead + (d, M, 7))
+        D[rng.uniform(size=D.shape) < 0.2] = 0.0                 # exact zeros
+        D[..., 0] = 1e-160                                       # products underflow
+        base = build_grid_model("gbell", mfs_per_input=M, input_dim=d)
+        for name, antecedents in rule_tables(rng, d, M):
+            model = replace(base, antecedents=antecedents,
+                            consequents=np.zeros((len(antecedents), d + 1)))
+            for skip in [None, *range(d)]:
+                got, want = anfis._firing(model, D, skip), gathered_firing(model, D, skip)
+                if d == 1 and skip == 0:                         # no input kept
+                    assert (got, want) == (1.0, 1)
+                    continue
+                assert got.shape == want.shape == lead + (len(antecedents), 7)
+                assert got.tobytes() == want.tobytes(), (name, skip)
+
+    @pytest.mark.parametrize("shape", ["gbell", "gauss2", "triangular"])
+    def test_permuted_rule_table_classifies_as_the_grid(self, shape):
+        rng = np.random.default_rng(110)
+        model = (random_model(rng, mf_shape=shape, input_dim=5) if shape != "triangular"
+                 else build_grid_model("triangular", input_dim=5))
+        model.consequents = rng.normal(size=model.consequents.shape)
+        perm = rng.permutation(model.n_rules)
+        permuted = replace(model, antecedents=model.antecedents[perm],
+                           consequents=model.consequents[perm])
+        X = rng.uniform(-1, 1, size=(200, 5))
+        classes, scores = model.classify(X)
+        got_classes, got_scores = permuted.classify(X)
+        np.testing.assert_array_equal(got_classes, classes)
+        np.testing.assert_allclose(got_scores, scores, rtol=0, atol=1e-12)
+        W, W_permuted = _forward_batch(model, X)[1], _forward_batch(permuted, X)[1]
+        assert W_permuted.tobytes() == W[:, perm].tobytes()
 
 
 class TestLse:

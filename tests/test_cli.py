@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -499,3 +500,21 @@ class TestDatasetStats:
 
     def test_no_dataset_configured_exits_2(self):
         assert main(["dataset-stats"]) == 2
+
+    def test_field_over_csv_limit_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text("STG,SCG,STR,LPR,PEG,UNS,NOTE\n0.1,0.2,0.3,0.4,0.5,low,x\n"
+                        "0.1,0.2,0.3,0.4,0.5,low," + "x" * (csv.field_size_limit() + 1)
+                        + "\n", encoding="utf-8")
+        assert main(["dataset-stats", "--dataset", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {path}: data row 2: field larger than field limit "
+            f"({csv.field_size_limit()})\n")
+
+    def test_bytes_not_utf8_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"STG,SCG,STR,LPR,PEG,UNS\n0.1,0.2,0.3,0.4,0.5,low\n"
+                         b"0.1,0.2,0.3,0.4,0.5,l\xffow\n")
+        assert main(["dataset-stats", "--dataset", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {path}: not UTF-8 text (invalid start byte, byte 0xff)\n")

@@ -165,6 +165,7 @@ def write_raw(tmp_path, text, name="d.csv"):
 
 
 ROW = "0.1,0.2,0.3,0.4,0.5,low"
+LONG = "x" * (csv.field_size_limit() + 1)       # one over the csv module's limit
 
 # name: file text; each loads to the same Dataset or error either way
 EDGE_FILES = {
@@ -259,6 +260,33 @@ class TestLoadPaths:
     def test_header_only_file_leaks_no_warning(self, tmp_path, recwarn):
         assert len(load_dataset(write_raw(tmp_path, HEADER))) == 0
         assert not recwarn.list
+
+    @pytest.mark.parametrize("raw, byte, reason", [
+        (HEADER.encode() + b"0.1,0.2,0.3,0.4,0.5,l\xffow\n", 0xff, "invalid start byte"),
+        (b"STG,SCG,STR,LPR,PEG,UNS\xe9\n" + ROW.encode() + b"\n", 0xe9,
+         "invalid continuation byte"),
+        # past the text reader's first chunk, a sequence cut off at the end
+        (HEADER.encode() + (ROW + "\r").encode() * 2000 + b"0.1,0.2,0.3,0.4,0.5,\xc3",
+         0xc3, "unexpected end of data"),
+    ], ids=["label", "header", "far-into-file"])
+    def test_bytes_not_utf8_are_a_load_error(self, tmp_path, raw, byte, reason):
+        path = tmp_path / "d.csv"
+        path.write_bytes(raw)
+        message = f"{path}: not UTF-8 text ({reason}, byte 0x{byte:02x})"
+        assert loaded(path) == loaded(path, per_cell=True) == ("DataLoadError", message)
+
+    @pytest.mark.parametrize("text, where", [
+        (f"{ROW},x\n{ROW},{LONG}\n", "data row 2"),
+        (f'{ROW},x\n\n{ROW},"{LONG[::2]}\n{LONG[::2]}"\n', "data row 3"),
+        (f"{ROW},{LONG}", "data row 1"),
+        (f"{ROW},x\n", "header"),
+    ], ids=["unquoted", "quoted-over-lines", "no-trailing-newline", "header"])
+    def test_field_over_csv_limit_names_its_row(self, tmp_path, text, where):
+        header = "STG,SCG,STR,LPR,PEG,UNS," + (LONG if where == "header" else "NOTE")
+        path = write_raw(tmp_path, header + "\n" + text)
+        message = (f"{path}: {where}: field larger than field limit "
+                   f"({csv.field_size_limit()})")
+        assert loaded(path) == loaded(path, per_cell=True) == ("DataLoadError", message)
 
 
 class TestBinarize:
