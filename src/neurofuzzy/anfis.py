@@ -253,11 +253,11 @@ def build_grid_model(mf_shape, mfs_per_input=2, input_range=(-1.0, 1.0),
 
 
 def _firing(model, D, skip=None):
-    """(..., R, g): each rule's product of degrees over the inputs but ``skip``:
-    its cell of their outer-product grid, built in ``math.prod``'s order."""
+    """(..., R, g): each rule's product of degrees over the inputs but ``skip``,
+    in input order: its cell of their grid, or a gather if the grid outgrows R."""
     kept = [j for j in range(model.input_dim) if j != skip]
-    if not kept:
-        return 1.0
+    if not kept or model.mfs_per_input ** len(kept) > model.n_rules:
+        return math.prod(D[..., j, model.antecedents[:, j], :] for j in kept)
     *lead, _, _, g = D.shape
     grid = D[..., kept[0], :, :]
     for j in kept[1:]:

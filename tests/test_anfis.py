@@ -2,6 +2,7 @@ import copy
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -224,6 +225,24 @@ class TestFiringGrid:
                     continue
                 assert got.shape == want.shape == lead + (len(antecedents), 7)
                 assert got.tobytes() == want.tobytes(), (name, skip)
+
+    def test_subset_table_at_large_m_never_builds_the_grid(self):
+        # 36 of the 6^5 = 7,776 cells: the grid would take 7,776 x 500 doubles
+        # (31 MB) where the gather holds a few 36 x 500 slabs
+        rng = np.random.default_rng(120)
+        base = build_grid_model("gbell", mfs_per_input=6, input_dim=5)
+        model = replace(base, antecedents=rng.integers(0, 6, size=(36, 5)),
+                        consequents=np.zeros((36, 6)))
+        D = rng.uniform(0.0, 1.0, size=(5, 6, 500))
+        for skip in [None, *range(5)]:
+            tracemalloc.start()
+            try:
+                got = anfis._firing(model, D, skip)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got.tobytes() == gathered_firing(model, D, skip).tobytes()
+            assert peak < 10 * got.nbytes, (skip, peak)
 
     @pytest.mark.parametrize("shape", ["gbell", "gauss2", "triangular"])
     def test_permuted_rule_table_classifies_as_the_grid(self, shape):

@@ -6,7 +6,10 @@ Run from the repository root:
 
 The parent side runs from a clean export of ``--parent`` (``git archive``
 into a temporary directory, removed at the end); the change side runs
-from the working tree.  Every workload gets ten pairs, and each pair runs
+from a copy, in the same temporary directory, of the working tree's
+files that git does not ignore, so neither side starts with bytecode
+caches or earlier ``perfbench/out/`` files.  Every workload gets ten
+pairs, and each pair runs
 ``perfbench/run.py --workload W --seed S --seconds 30 --trace 0`` once per
 side, alternately: even pairs run the parent first, odd pairs the change.
 Seeds are 100 N + 1 + pair index.  With ``--in-process`` each side also
@@ -19,7 +22,7 @@ reported, and per workload the seeds, the side order, the operations and
 failures, and per end-to-end metric each side's median and quartiles,
 ``change_worse_by`` (the relative median change in the metric's bad
 direction), the pairs the change won or tied, and every run's value.
-Nothing under ``perfbench/`` is written but its own ``out/`` files.
+Nothing in the repository is written but ``BENCH_<pr>.json``.
 """
 
 import argparse
@@ -67,6 +70,16 @@ def export(rev, dest):
                              check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
+    return dest
+
+
+def snapshot(dest):
+    """The working tree's tracked and untracked, not ignored files under ``dest``."""
+    names = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                            "--exclude-standard"], check=True, capture_output=True).stdout
+    for name in filter(os.path.isfile, names.decode().split("\0")):  # not deleted
+        (dest / name).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(name, dest / name)
     return dest
 
 
@@ -151,7 +164,7 @@ def main(argv=None):
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         trees = {"parent": export(args.parent, scratch / "parent"),
-                 "change": Path.cwd()}
+                 "change": snapshot(scratch / "change")}
         seeds = [100 * args.pr + 1 + i for i in range(PAIRS)]
         out = {"description": args.description,
                "command": f"python3 perfbench/run.py --workload W --seed S "

@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 tools/output_contract.py --parent REV [--rel-tol X]
+    python3 tools/output_contract.py --parent REV
 
 The parent side runs from a clean export of ``--parent`` (``git archive``
 into a temporary directory, removed at the end); the change side runs
@@ -30,30 +30,13 @@ as the worst relative difference of its numbers when only numbers
 differ, or as differing text; each command's exit code on both sides;
 whether each parent-written ``model.json`` loads and re-saves byte for
 byte under the change; and any file or exit code that differs between
-the two runs of the change.  It exits 1 on any difference that breaks
-the contract, and nothing in the repository is written.
-
-The contract.  With the default ``--rel-tol 0`` every output file must
-be byte-identical to the parent's.  With ``--rel-tol X`` (X > 0) a file
-that differs still passes when all of these hold:
-
-- its text outside the numbers is identical;
-- it holds as many numbers as the parent's file;
-- every integer token (confusion cells, wrong counts, ``n_samples``,
-  epoch counts, so every class decision they count) is unchanged;
-- every other number is within relative X of the parent's:
-  ``|a - b| <= X * max(|a|, |b|)``.
-
-At any X these stay exact: exit codes, the change's two runs against
-each other, and the re-saving of parent-written model files.  A ROC CSV
-whose row count changes holds a different count of numbers, so it
-differs.
+the two runs of the change.  It exits 1 on any difference.  Nothing in
+the repository is written.
 """
 
 import argparse
 import io
 import json
-import math
 import os
 import re
 import shutil
@@ -89,7 +72,6 @@ CONFIGS = {
     "oaa-early-stop": {"early_stop": 0.16},
 }
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
-INTEGER = re.compile(r"-?\d+")
 
 
 def export(rev, dest):
@@ -273,33 +255,21 @@ def outputs(run):
             if p.is_file() and p.relative_to(run).parts[0] != "inputs"}
 
 
-def difference(a, b, rel_tol=0.0):
-    """(verdict, passes) of the parent's file ``a`` and the change's ``b``.
-
-    The verdict is "identical", the worst relative difference of the
-    numbers when only numbers differ (noting a changed integer), or
-    "differs".  A file passes if it is identical, or with ``rel_tol`` > 0
-    if only numbers differ, no integer token among them and the others
-    each within ``rel_tol`` relative (the module docstring's contract).
-    """
+def difference(a, b):
+    """"identical", the worst relative difference of the numbers when only
+    numbers differ, or "differs"."""
     if a == b:
-        return "identical", True
+        return "identical"
     try:
         ta, tb = a.decode("utf-8"), b.decode("utf-8")
     except UnicodeDecodeError:
-        return "differs", False
+        return "differs"
     na, nb = NUMBER.findall(ta), NUMBER.findall(tb)
     if NUMBER.sub("#", ta) != NUMBER.sub("#", tb) or len(na) != len(nb):
-        return "differs", False
-    changed = [(x, y) for x, y in zip(na, nb) if x != y]
-    integer = any(INTEGER.fullmatch(token) for pair in changed for token in pair)
+        return "differs"
     worst = max((abs(float(x) - float(y)) / max(abs(float(x)), abs(float(y)))
-                 for x, y in changed if float(x) != float(y)), default=0.0)
-    passes = rel_tol > 0 and not integer and all(
-        math.isclose(float(x), float(y), rel_tol=rel_tol, abs_tol=0.0)
-        for x, y in changed)
-    return (f"worst relative difference {worst:.3g}"
-            + (", an integer changed" if integer else "")), passes
+                 for x, y in zip(na, nb) if float(x) != float(y)), default=0.0)
+    return f"worst relative difference {worst:.3g}"
 
 
 def resaved(tree, run):
@@ -321,12 +291,7 @@ def resaved(tree, run):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
-    parser.add_argument("--rel-tol", type=float, default=0.0, metavar="X",
-                        help="relative tolerance for non-integer numbers in "
-                             "output files (default 0: byte-identical)")
     args = parser.parse_args(argv)
-    if not 0 <= args.rel_tol < math.inf:
-        parser.error(f"--rel-tol must be finite and >= 0, got {args.rel_tol}")
 
     scratch = Path(tempfile.mkdtemp(prefix="output-contract-"))
     try:
@@ -341,14 +306,13 @@ def main(argv=None):
         shutil.rmtree(scratch, ignore_errors=True)
 
     problems = 0
-    print(f"output files, parent -> change (relative tolerance {args.rel_tol:g}):")
+    print("output files, parent -> change:")
     for name in sorted(set(files["parent"]) | set(files["change"])):
         a, b = files["parent"].get(name), files["change"].get(name)
-        verdict, passes = (("only in the change", False) if a is None else
-                           ("only in the parent", False) if b is None else
-                           difference(a, b, args.rel_tol))
-        problems += not passes
-        print(f"  {name}: {verdict}" + ("" if passes else "  FAILS"))
+        verdict = ("only in the change" if a is None else "only in the parent"
+                   if b is None else difference(a, b))
+        problems += verdict != "identical"
+        print(f"  {name}: {verdict}")
     print("exit codes, parent -> change:")
     for name in codes["parent"]:
         p, c = codes["parent"][name], codes["change"].get(name)
