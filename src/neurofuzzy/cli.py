@@ -1,7 +1,7 @@
 """Command-line front end for reproducible train/evaluate runs.
 
-A run is described by a flat key=value config file; any key can be
-overridden by the matching command-line flag, and flags win.  Every
+A run is described by a flat key=value config file; a command takes the
+keys it reads as command-line flags too, and flags win.  Every
 command is deterministic given (config, seed): repeated runs write
 byte-identical model files, reports, and curves.  No command mutates
 its inputs.
@@ -66,6 +66,9 @@ CONFIG_SCHEMA = {
     "batch_mode": (str, "full", ("full", "stochastic"), "update granularity"),
     "out_dir": (str, ".", None, "output directory"),
 }
+# the keys the data-reading commands take as flags; config files take every key
+DATA_KEYS = ("dataset", "encoding", "threshold")
+SELECTION_KEYS = DATA_KEYS + ("split", "ratio", "seed", "folds", "fold", "train_count")
 
 
 RunConfig = make_dataclass(
@@ -122,8 +125,9 @@ def _overrides_from_args(args):
     return {key: getattr(args, key, None) for key in CONFIG_SCHEMA}
 
 
-def _add_config_flags(parser, keys=None):
-    for key in (keys or CONFIG_SCHEMA):
+def _add_config_flags(parser, keys=tuple(CONFIG_SCHEMA)):
+    parser.add_argument("--config", default=None, help="key=value run config")
+    for key in keys:
         conv, _, allowed, help_text = CONFIG_SCHEMA[key]
         parser.add_argument(
             "--" + key.replace("_", "-"), dest=key, default=None,
@@ -205,7 +209,10 @@ def _make_out_dir(path):
 
 
 def _write_text(path, text):
-    Path(path).write_text(text, encoding="utf-8")
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     print(f"wrote {path}")
 
 
@@ -360,7 +367,7 @@ def cmd_compare(args):
     for config_path in args.configs:
         try:
             rows.append(_compare_run(config_path))
-        except NeurofuzzyError as exc:
+        except tuple(_EXIT_CODES) as exc:
             rows.append({"method": Path(config_path).stem,
                          "status": "failed", "error": str(exc)})
             worst = max(worst, _exit_code_for(exc))
@@ -414,16 +421,14 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train a model from a run config")
-    p_train.add_argument("--config", default=None, help="key=value run config")
     _add_config_flags(p_train)
     p_train.set_defaults(handler=cmd_train)
 
     p_eval = sub.add_parser("evaluate", help="evaluate a saved model")
     p_eval.add_argument("model_file", help="model JSON path")
-    p_eval.add_argument("--config", default=None, help="key=value run config")
     p_eval.add_argument("--out", default="-",
                         help="report path (default: stdout)")
-    _add_config_flags(p_eval)
+    _add_config_flags(p_eval, SELECTION_KEYS)
     p_eval.set_defaults(handler=cmd_evaluate)
 
     p_roc = sub.add_parser("roc", help="emit one class's ROC curve as CSV")
@@ -431,8 +436,7 @@ def build_parser():
     p_roc.add_argument("--class-index", type=int, required=True,
                        help="positive class 0..3")
     p_roc.add_argument("--out", required=True, help="CSV output path")
-    p_roc.add_argument("--config", default=None, help="key=value run config")
-    _add_config_flags(p_roc)
+    _add_config_flags(p_roc, SELECTION_KEYS)
     p_roc.set_defaults(handler=cmd_roc)
 
     p_cmp = sub.add_parser(
@@ -444,26 +448,27 @@ def build_parser():
     p_cmp.set_defaults(handler=cmd_compare)
 
     p_stats = sub.add_parser("dataset-stats", help="summarize a dataset file")
-    p_stats.add_argument("--config", default=None, help="key=value run config")
-    _add_config_flags(p_stats)
+    _add_config_flags(p_stats, DATA_KEYS)
     p_stats.set_defaults(handler=cmd_dataset_stats)
     return parser
 
 
+# failure -> exit code, first match wins; the library's constructors
+# refuse bad values with ValueError, and LinAlgError is a ValueError
 _EXIT_CODES = {
     ConfigError: 2,
     DataLoadError: 3,
     SplitError: 3,
     NumericError: 4,
     ModelFormatError: 5,
+    NeurofuzzyError: 2,
+    np.linalg.LinAlgError: 4,
+    ValueError: 2,
 }
 
 
 def _exit_code_for(exc):
-    for klass, code in _EXIT_CODES.items():
-        if isinstance(exc, klass):
-            return code
-    return 2
+    return next(code for klass, code in _EXIT_CODES.items() if isinstance(exc, klass))
 
 
 def main(argv=None):
@@ -474,18 +479,9 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except NeurofuzzyError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (FloatingPointError, np.linalg.LinAlgError) as exc:
-        print(f"error: numeric failure: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

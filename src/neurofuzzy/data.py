@@ -346,11 +346,11 @@ def split_to_json(split):
 def split_from_json(text, dataset):
     """Rebuild a DatasetSplit over ``dataset`` from its JSON form."""
     payload = json.loads(text)
-    train_idx = list(payload["train_indices"])
-    test_idx = list(payload["test_indices"])
-    n = len(dataset)
-    for i in train_idx + test_idx:
-        if not 0 <= i < n:
-            raise SplitError(f"split index {i} out of range for {n} samples")
+    train_idx, test_idx = list(payload["train_indices"]), list(payload["test_indices"])
+    n, seen = len(dataset), set()
+    for i in train_idx + test_idx:    # bool is an int subclass, so test the type
+        if type(i) is not int or not 0 <= i < n or i in seen:
+            raise SplitError(f"split index {i!r} is repeated or not a row 0..{n - 1}")
+        seen.add(i)
     return _make_split(dataset, train_idx, test_idx,
                        int(payload["seed"]), float(payload["ratio"]))

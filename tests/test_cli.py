@@ -319,6 +319,33 @@ class TestEvaluate:
         assert main(["evaluate", trained["model"], "--dataset", str(empty),
                      "--split", "none"]) == 3
 
+    def test_out_that_is_a_directory_exits_2(self, trained, tmp_path, capsys):
+        assert main(["evaluate", trained["model"], "--config", trained["config"],
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}")
+
+
+# the config keys each data-reading command takes as flags
+SELECTION = {"dataset", "encoding", "threshold", "split", "ratio", "seed",
+             "folds", "fold", "train_count"}
+COMMAND_KEYS = {
+    "evaluate": (["evaluate", "model.json"], SELECTION),
+    "roc": (["roc", "model.json", "--class-index", "0", "--out", "r.csv"], SELECTION),
+    "dataset-stats": (["dataset-stats"], {"dataset", "encoding", "threshold"}),
+}
+
+
+@pytest.mark.parametrize("key", list(cli.CONFIG_SCHEMA))
+@pytest.mark.parametrize("command", list(COMMAND_KEYS))
+def test_command_takes_only_the_flags_it_reads(command, key, capsys):
+    argv, keys = COMMAND_KEYS[command]
+    argv = [*argv, "--" + key.replace("_", "-"), "1"]
+    if key in keys:
+        assert getattr(cli.build_parser().parse_args(argv), key) == "1"
+    else:
+        assert main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("command", [["evaluate"], ["roc", "--class-index", "1"]])
 def test_stand_alone_binary_model_exits_5(command, tmp_path, dataset, capsys):
@@ -372,6 +399,13 @@ class TestRoc:
         assert main(["roc", trained["model"], "--class-index", "7",
                      "--out", str(tmp_path / "r.csv"),
                      "--config", trained["config"]]) == 2
+
+    def test_out_in_a_missing_directory_exits_2(self, trained, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.csv"
+        assert main(["roc", trained["model"], "--class-index", "0",
+                     "--out", str(out), "--config", trained["config"]]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+        assert not out.parent.exists()
 
 
 class TestCompare:
@@ -439,6 +473,28 @@ class TestCompare:
         assert main(["compare", "any.cfg", "--out-dir", str(out_dir)]) == 4
         rows = json.loads((out_dir / "comparison.json").read_text())["rows"]
         assert rows[0]["status"] == "failed"
+
+    def test_refused_training_value_is_a_failed_row(self, tmp_path, dataset):
+        good, _ = mlp_config(tmp_path, dataset, "good", epochs=30)
+        bad = write_config(tmp_path / "nan.cfg", dataset=dataset, model="mlp",
+                           learn_rate="nan")
+        out_dir = tmp_path / "cmp"
+        assert main(["compare", good, bad, "--out-dir", str(out_dir)]) == 2
+        rows = json.loads((out_dir / "comparison.json").read_text())["rows"]
+        assert [r["status"] for r in rows[:2]] == ["computed", "failed"]
+        assert rows[1]["method"] == "nan"
+        assert "failed" in (out_dir / "comparison.txt").read_text()
+
+    def test_failed_solve_is_a_failed_row_exiting_4(self, tmp_path, monkeypatch):
+        def singular(config_path):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(cli, "_compare_run", singular)
+        out_dir = tmp_path / "cmp"
+        assert main(["compare", "any.cfg", "--out-dir", str(out_dir)]) == 4
+        rows = json.loads((out_dir / "comparison.json").read_text())["rows"]
+        assert rows[0] == {"method": "any", "status": "failed",
+                           "error": "Singular matrix"}
 
     def test_kfold_config_runs_every_fold(self, tmp_path, dataset):
         config = write_config(

@@ -473,6 +473,20 @@ class TestSplitSerialization:
         with pytest.raises(SplitError):
             split_from_json(bad, samples)
 
+    @pytest.mark.parametrize("train,test", [
+        ([0, 1, 2, 2], [3]),        # repeated within one side
+        ([0, 1, 2], [2, 3]),        # on both sides
+        ([True, 2], [3]),           # a bool is not a row index
+        ([0, 1.7], [3]),
+        ([0, 1.0], [3]),
+        (["1"], [3]),
+    ])
+    def test_index_not_a_distinct_row_rejected(self, train, test):
+        bad = json.dumps({"seed": 0, "ratio": 0.5,
+                          "train_indices": train, "test_indices": test})
+        with pytest.raises(SplitError):
+            split_from_json(bad, make_samples([2, 2, 2, 2]))
+
 
 def test_class_labels_order():
     assert tuple(CLASS_LABELS) == ("VeryLow", "Low", "Middle", "High")

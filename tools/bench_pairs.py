@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 tools/bench_pairs.py --parent REV --pr N [--in-process] [--traced]
+    python3 tools/bench_pairs.py --parent REV --pr N [--description TEXT]
 
 The parent side runs from a clean export of ``--parent`` (``git archive``
 into a temporary directory, removed at the end); the change side runs
@@ -12,16 +12,15 @@ caches or earlier ``perfbench/out/`` files.  Every workload gets ten
 pairs, and each pair runs
 ``perfbench/run.py --workload W --seed S --seconds 30 --trace 0`` once per
 side, alternately: even pairs run the parent first, odd pairs the change.
-Seeds are 100 N + 1 + pair index.  With ``--in-process`` each side also
-times, in one fresh process, five one-against-all trainings of the
-bundled data at M=2 and at M=3 (100 epochs each).  With ``--traced``
-each side gives one traced run per workload.
+Seeds are 100 N + 1 + pair index.  Then each side gives one traced run
+(``--trace 1``, seed 1) per workload.
 
 The output has the layout of BENCH_3.json: the environment the runs
 reported, and per workload the seeds, the side order, the operations and
 failures, and per end-to-end metric each side's median and quartiles,
 ``change_worse_by`` (the relative median change in the metric's bad
-direction), the pairs the change won or tied, and every run's value.
+direction), the pairs the change won or tied, and every run's value;
+and per workload and side the traced run's layer metrics.
 Nothing in the repository is written but ``BENCH_<pr>.json``.
 """
 
@@ -41,27 +40,8 @@ from pathlib import Path
 WORKLOADS = ("paper-default", "grid-m3", "cohort-raw")
 PAIRS = 10                # the fewest pairs a claimed gain is judged on
 SECONDS = 30              # perfbench's run_seconds
-IN_PROCESS_REPS = 5
 ONE_THREAD = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                 "MKL_NUM_THREADS")}
-
-# Times REPS trainings per grid size in one process; prints one JSON line.
-IN_PROCESS = """
-import json, statistics, sys, time
-from neurofuzzy.anfis import TrainingConfig, build_grid_model, train_oaa
-from neurofuzzy.data import binarize, load_dataset, split_stratified
-split = split_stratified(binarize(load_dataset("data/ukm_synthetic.csv")), 0.8, seed=0)
-reps, out = int(sys.argv[1]), {}
-for name, mfs in (("train_oaa_default_s", 2), ("train_oaa_m3_100_epochs_s", 3)):
-    runs = []
-    for _ in range(reps):
-        start = time.perf_counter()
-        train_oaa(build_grid_model("gauss2", mfs), split.train, split.test,
-                  TrainingConfig(epochs=100))
-        runs.append(time.perf_counter() - start)
-    out[name] = runs
-print(json.dumps(out))
-"""
 
 
 def export(rev, dest):
@@ -94,14 +74,6 @@ def bench(tree, workload, seed, seconds, trace=0):
         raise SystemExit(f"perfbench failed in {tree} ({workload}, seed {seed}):\n"
                          f"{proc.stdout}\n{proc.stderr}")
     return json.loads(lines[0])["environment"], lines[1], json.loads(lines[-1])
-
-
-def in_process(tree, reps):
-    proc = subprocess.run(
-        [sys.executable, "-c", IN_PROCESS, str(reps)], cwd=tree, check=True,
-        capture_output=True, text=True,
-        env={**os.environ, **ONE_THREAD, "PYTHONPATH": str(Path(tree) / "src")})
-    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def stats(values):
@@ -152,8 +124,6 @@ def main(argv=None):
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--pr", required=True, type=int,
                         help="number in BENCH_<pr>.json; seeds start at 100 pr + 1")
-    parser.add_argument("--in-process", action="store_true")
-    parser.add_argument("--traced", action="store_true")
     parser.add_argument("--description", default="")
     args = parser.parse_args(argv)
 
@@ -176,28 +146,17 @@ def main(argv=None):
                                                  SECONDS, specs, log)
             out["environment"] = {**env, "python": platform.python_version(),
                                   "cpus": os.cpu_count(), **ONE_THREAD}
-        if args.in_process:
-            out["in_process"] = {"reps": IN_PROCESS_REPS, "note": (
-                "one process per side; train_oaa on the bundled seed-0 split, "
-                "gauss2, 100 epochs"), "sides": {}}
+        out["traced"] = {"command": "python3 perfbench/run.py --workload W "
+                         f"--seed 1 --seconds {SECONDS} --trace 1",
+                         "note": "means per traced round, one run per side",
+                         "workloads": {}}
+        for workload in WORKLOADS:
+            out["traced"]["workloads"][workload] = {}
             for side, tree in trees.items():
-                runs = in_process(tree, IN_PROCESS_REPS)
-                out["in_process"]["sides"][side] = {
-                    name: {"median": statistics.median(v), "runs": v}
-                    for name, v in runs.items()}
-                log(f"in-process {side}: " + json.dumps(out["in_process"]["sides"][side]))
-        if args.traced:
-            out["traced"] = {"command": "python3 perfbench/run.py --workload W "
-                             f"--seed 1 --seconds {SECONDS} --trace 1",
-                             "note": "means per traced round, one run per side",
-                             "workloads": {}}
-            for workload in WORKLOADS:
-                out["traced"]["workloads"][workload] = {}
-                for side, tree in trees.items():
-                    _, run, result = bench(tree, workload, 1, SECONDS, trace=1)
-                    out["traced"]["workloads"][workload][side] = {
-                        "run": run, "layers": {k: v["value"] for k, v
-                                               in result["metrics"].items()}}
+                _, run, result = bench(tree, workload, 1, SECONDS, trace=1)
+                out["traced"]["workloads"][workload][side] = {
+                    "run": run, "layers": {k: v["value"] for k, v
+                                           in result["metrics"].items()}}
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     path = Path(f"BENCH_{args.pr}.json")

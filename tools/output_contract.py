@@ -5,17 +5,19 @@ Run from the repository root:
     python3 tools/output_contract.py --parent REV
 
 The parent side runs from a clean export of ``--parent`` (``git archive``
-into a temporary directory, removed at the end); the change side runs
-from the working tree, twice.  Each side runs ``python -m neurofuzzy.cli``
+into a temporary directory, removed at the end); the change side runs,
+twice, from a copy in the same directory of the working tree's files that
+git does not ignore.  Each side runs ``python -m neurofuzzy.cli``
 with its own ``src`` and ``data/ukm_synthetic.csv``, one BLAS thread, and
 every output under the temporary directory:
 
 - ``train`` for each of the configs in ``CONFIGS``, then per config
   ``evaluate`` to a file and to stdout and ``roc`` for classes 0..3;
 - ``compare`` over every config, and ``dataset-stats``;
-- the misuse cases in ``misuse``, which exit 2 to 5 (bad config, bad
-  data, a class absent from the data, bad model files), their model
-  files edited from the side's own trained models.  Each faulty data
+- the misuse cases in ``misuse``, which exit 2 to 5 (bad config, a flag
+  the command does not read, an unwritable output path, bad data, a class
+  absent from the data, bad model files), their model files edited from
+  the side's own trained models.  Each faulty data
   file (a non-numeric, out-of-range or missing cell, a missing or
   duplicated column, two faults in one file in either order) goes
   through both ``dataset-stats`` and ``train``;
@@ -35,19 +37,16 @@ the repository is written.
 """
 
 import argparse
-import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
-ONE_THREAD = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                "MKL_NUM_THREADS")}
+from bench_pairs import ONE_THREAD, export, snapshot
 
 # name: config keys besides the dataset
 CONFIGS = {
@@ -72,15 +71,6 @@ CONFIGS = {
     "oaa-early-stop": {"early_stop": 0.16},
 }
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
-
-
-def export(rev, dest):
-    """The committed files of ``rev`` under ``dest``."""
-    archive = subprocess.run(["git", "archive", "--format=tar", rev],
-                             check=True, capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest, filter="data")
-    return dest
 
 
 def edited_model(src, dest, edit):
@@ -122,6 +112,9 @@ def misuse(inp, run, dataset):
         (inp / f"{name}.csv").write_text(text, encoding="utf-8")
     unknown_key = inp / "unknown_key.cfg"
     unknown_key.write_text(f"dataset={dataset}\ncolour=red\n", encoding="utf-8")
+    short, nan_rate = inp / "short.cfg", inp / "nan_rate.cfg"
+    short.write_text(f"dataset={dataset}\nepochs=2\n", encoding="utf-8")
+    nan_rate.write_text(f"dataset={dataset}\nlearn_rate=nan\n", encoding="utf-8")
     (inp / "a_file").write_text("", encoding="utf-8")
     data = ["--dataset", str(dataset)]
     (inp / "corrupt.json").write_text('{"kind": "anfis"', encoding="utf-8")
@@ -163,6 +156,14 @@ def misuse(inp, run, dataset):
         ("misuse-out-dir-file", ["train", *data, "--out-dir", str(inp / "a_file")]),
         ("misuse-class-index", ["roc", str(oaa), *data, "--class-index", "7",
                                 "--out", str(run / "bad.csv")]),
+        ("misuse-evaluate-training-flags", ["evaluate", str(oaa), *data,
+                                            "--mf-shape", "gbell", "--epochs", "7"]),
+        ("misuse-compare-nan-rate", ["compare", str(short), str(nan_rate),
+                                     "--out-dir", str(run / "bad-compare")]),
+        ("misuse-evaluate-out-dir", ["evaluate", str(oaa), *data,
+                                     "--out", str(run / "oaa")]),
+        ("misuse-roc-out-missing-dir", ["roc", str(oaa), *data, "--class-index", "0",
+                                        "--out", str(run / "missing" / "r.csv")]),
         ("misuse-missing-dataset", ["train", "--dataset", str(inp / "nope.csv"),
                                     "--out-dir", str(run / "bad6")]),
         ("misuse-bad-label", ["dataset-stats", "--dataset", str(badlabel)]),
@@ -296,7 +297,7 @@ def main(argv=None):
     scratch = Path(tempfile.mkdtemp(prefix="output-contract-"))
     try:
         trees = {"parent": export(args.parent, scratch / "parent"),
-                 "change": Path.cwd().resolve()}
+                 "change": snapshot(scratch / "change")}
         runs = {side: scratch / "runs" / side for side in ("parent", "change", "again")}
         codes = {side: run_side(trees["change" if side == "again" else side], run)
                  for side, run in runs.items()}
