@@ -323,10 +323,10 @@ def anfis_forward(model, x):
 
 
 def _design_matrix(model, Wbar, X, weight):
-    """The solve's rows, each scaled by its weight; ``Wbar`` is not written."""
-    if model.consequent_order == "constant":
-        return Wbar * weight[:, None]
-    X1 = np.hstack([np.ones((X.shape[0], 1)), X])
+    """The solve's rows, each scaled by its weight; ``Wbar`` is not written.
+    A constant consequent takes only the leading 1 of ``[1, x]``."""
+    cols = 1 if model.consequent_order == "constant" else X.shape[1] + 1
+    X1 = np.hstack([np.ones((X.shape[0], 1)), X])[:, :cols]
     # rule-major blocks: [wbar_i, wbar_i * x_1, ..., wbar_i * x_d] per rule
     A = Wbar[:, :, None] * X1[:, None, :]
     return np.multiply(A, weight[:, None, None], out=A).reshape(X.shape[0], -1)
@@ -405,11 +405,9 @@ def lse_consequents(model, X, targets, ridge=1e-8, *, counts=None,
     if not np.all(np.isfinite(solution)):
         raise NumericError("consequent solve produced non-finite values")
 
-    if model.consequent_order == "constant":
-        model.consequents[:, :] = 0.0
-        model.consequents[:, 0] = solution
-    else:
-        model.consequents = solution.reshape(model.n_rules, model.input_dim + 1)
+    solved = solution.reshape(model.n_rules, -1)
+    model.consequents = np.zeros((model.n_rules, model.input_dim + 1))
+    model.consequents[:, :solved.shape[1]] = solved
     residual = A @ solution - b
     return float(np.sqrt((residual @ residual + within_ss) / np.sum(counts)))
 

@@ -27,6 +27,7 @@ from .data import (ATTRIBUTES, CLASS_LABELS, binarize, class_distribution,
                    split_stratified, split_to_json, to_arrays)
 from .errors import (ConfigError, DataLoadError, ModelFormatError,
                      NeurofuzzyError, NumericError, SplitError)
+from .fuzzy import MF_SHAPES
 from .metrics import auc, cap_consistent, evaluate_multiclass, roc_curve, roc_to_csv
 from .mlp import MlpTrainingConfig, build_mlp, train_backprop
 from .model_io import load_model, model_to_json
@@ -47,8 +48,7 @@ CONFIG_SCHEMA = {
     "fold": (int, 0, None, "held-out fold for split=kfold"),
     "train_count": (int, 258, None, "train rows for split=predefined"),
     "model": (str, "anfis", ("anfis", "mlp"), "model family"),
-    "mf_shape": (str, "gauss2", ("gbell", "gauss2", "triangular"),
-                 "membership function shape"),
+    "mf_shape": (str, "gauss2", tuple(MF_SHAPES), "membership function shape"),
     "mfs_per_input": (int, 2, None, "membership functions per input"),
     "output_mode": (str, "oaa", ("single", "oaa"), "decision head"),
     "consequent_order": (str, "linear", ("linear", "constant"),
@@ -67,8 +67,9 @@ CONFIG_SCHEMA = {
     "out_dir": (str, ".", None, "output directory"),
 }
 # the keys the data-reading commands take as flags; config files take every key
-DATA_KEYS = ("dataset", "encoding", "threshold")
-SELECTION_KEYS = DATA_KEYS + ("split", "ratio", "seed", "folds", "fold", "train_count")
+DATA_KEYS = ("dataset",)
+SELECTION_KEYS = DATA_KEYS + ("encoding", "threshold", "split", "ratio", "seed",
+                              "folds", "fold", "train_count")
 
 
 RunConfig = make_dataclass(
@@ -118,6 +119,8 @@ def build_run_config(config_path=None, overrides=None):
     for key, value in (overrides or {}).items():
         if value is not None:
             merged[key] = _convert(key, value)
+    if not merged["dataset"]:
+        raise ConfigError("no dataset configured (set dataset= or --dataset)")
     return RunConfig(**merged)
 
 
@@ -136,12 +139,9 @@ def _add_config_flags(parser, keys=tuple(CONFIG_SCHEMA)):
 
 
 def _load_encoded(cfg):
-    if not cfg.dataset:
-        raise ConfigError("no dataset configured (set dataset= or --dataset)")
     raw = load_dataset(cfg.dataset)
-    if cfg.encoding == "binarize":
-        return raw, binarize(raw, cfg.threshold)
-    return raw, passthrough(raw)
+    return (binarize(raw, cfg.threshold) if cfg.encoding == "binarize"
+            else passthrough(raw))
 
 
 def _build_split(cfg, encoded):
@@ -209,6 +209,10 @@ def _make_out_dir(path):
 
 
 def _write_text(path, text):
+    """Write ``text`` to ``path``, or to stdout if ``path`` is ``-``."""
+    if path == "-":
+        sys.stdout.write(text)
+        return
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
@@ -218,7 +222,7 @@ def _write_text(path, text):
 
 def cmd_train(args):
     cfg = build_run_config(args.config, _overrides_from_args(args))
-    _, encoded = _load_encoded(cfg)
+    encoded = _load_encoded(cfg)
     split = _build_split(cfg, encoded)
     train_samples, test_samples = ((encoded, []) if split is None
                                    else (split.train, split.test))
@@ -252,7 +256,7 @@ def _scored_selection(args):
         raise ModelFormatError(f"{args.model_file}: a binary model is one "
                                "one-against-all member, not a classifier")
     cfg = build_run_config(args.config, _overrides_from_args(args))
-    _, encoded = _load_encoded(cfg)
+    encoded = _load_encoded(cfg)
     split = _build_split(cfg, encoded)
     samples = encoded if split is None else split.test
     if not samples:
@@ -270,19 +274,13 @@ def cmd_evaluate(args):
     labels, predicted, scores = _scored_selection(args)
     report = evaluate_multiclass(labels, predicted, scores,
                                  class_names=list(CLASS_LABELS))
-    text = json.dumps(report.to_dict(), indent=2) + "\n"
-    if args.out and args.out != "-":
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out, json.dumps(report.to_dict(), indent=2) + "\n")
     return 0
 
 
 def cmd_roc(args):
     labels, _, scores = _scored_selection(args)
     k = args.class_index
-    if not 0 <= k <= 3:
-        raise ConfigError(f"class index {k} out of range 0..3")
     positives = (labels == k).astype(int)
     if positives.sum() in (0, len(positives)):
         raise NumericError(
@@ -314,7 +312,7 @@ def _load_baselines(path):
 def _compare_run(config_path):
     """One computed comparison row; kfold configs contribute every fold."""
     cfg = build_run_config(config_path)
-    _, encoded = _load_encoded(cfg)
+    encoded = _load_encoded(cfg)
     if cfg.split == "kfold":
         splits = kfold(encoded, cfg.folds, cfg.seed)
     else:
@@ -398,7 +396,7 @@ def cmd_compare(args):
 
 def cmd_dataset_stats(args):
     cfg = build_run_config(args.config, _overrides_from_args(args))
-    raw, _ = _load_encoded(cfg)
+    raw = load_dataset(cfg.dataset)
     counts = class_distribution(raw)
     stats = {
         "n_samples": len(raw),
@@ -433,9 +431,9 @@ def build_parser():
 
     p_roc = sub.add_parser("roc", help="emit one class's ROC curve as CSV")
     p_roc.add_argument("model_file", help="model JSON path")
-    p_roc.add_argument("--class-index", type=int, required=True,
-                       help="positive class 0..3")
-    p_roc.add_argument("--out", required=True, help="CSV output path")
+    p_roc.add_argument("--class-index", type=int, choices=range(4), required=True,
+                       help="positive class")
+    p_roc.add_argument("--out", required=True, help="CSV output path (- for stdout)")
     _add_config_flags(p_roc, SELECTION_KEYS)
     p_roc.set_defaults(handler=cmd_roc)
 

@@ -240,11 +240,8 @@ class Triangular(MembershipFunction):
         return np.maximum(np.minimum(rise, fall), 0.0)
 
 
-MF_SHAPES = {
-    "gbell": GeneralizedBell,
-    "gauss2": TwoSidedGaussian,
-    "triangular": Triangular,
-}
+MF_SHAPES = {cls.shape_name: cls
+             for cls in (GeneralizedBell, TwoSidedGaussian, Triangular)}
 
 
 def mf_from_dict(d):

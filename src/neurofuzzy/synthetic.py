@@ -17,7 +17,6 @@ three attributes are uninformative noise.
 
 from __future__ import annotations
 
-import argparse
 import csv
 
 import numpy as np
@@ -68,18 +67,3 @@ def write_csv(dataset, path):
         writer.writerows([*(f"{v:.2f}" for v in row), _FILE_LABELS[label]]
                          for row, label in zip(dataset.X.tolist(),
                                                dataset.labels.tolist()))
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="Write a synthetic user-knowledge CSV.")
-    parser.add_argument("out", help="output CSV path")
-    parser.add_argument("--seed", type=int, default=20240)
-    args = parser.parse_args(argv)
-    dataset = generate(seed=args.seed)
-    write_csv(dataset, args.out)
-    print(f"wrote {len(dataset)} samples to {args.out}")
-
-
-if __name__ == "__main__":
-    main()

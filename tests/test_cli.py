@@ -189,6 +189,13 @@ class TestTrain:
         assert main(["train", "--config", config]) == 3
         assert not out_dir.exists()
 
+    def test_fold_out_of_range_exits_2(self, tmp_path, dataset, capsys):
+        assert main(["train", "--dataset", str(dataset), "--split", "kfold",
+                     "--folds", "5", "--fold", "9",
+                     "--out-dir", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == (
+            "error: fold 9 out of range for folds=5\n")
+
     def test_unknown_config_key_exits_2(self, tmp_path, dataset):
         config = write_config(tmp_path / "bad.cfg", dataset=dataset,
                               momentum=0.9)
@@ -319,6 +326,29 @@ class TestEvaluate:
         assert main(["evaluate", trained["model"], "--dataset", str(empty),
                      "--split", "none"]) == 3
 
+    @pytest.mark.parametrize("keys", [
+        {"split": "predefined", "train_count": 36},
+        {"split": "kfold", "fold": 2},
+        {"encoding": "passthrough"},
+    ], ids=["predefined", "kfold", "passthrough"])
+    def test_evaluates_the_split_train_wrote(self, keys, tmp_path, dataset, capsys):
+        config, out_dir = mlp_config(tmp_path, dataset, epochs=30, **keys)
+        assert main(["train", "--config", config]) == 0
+        split = json.loads((out_dir / "split.json").read_text())
+        if keys.get("split") == "predefined":
+            assert split["train_indices"] == list(range(36))
+        capsys.readouterr()
+        assert main(["evaluate", str(out_dir / "model.json"), "--config", config]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["n_samples"] == len(split["test_indices"]) > 0
+
+    def test_empty_out_exits_2(self, trained, capsys):
+        assert main(["evaluate", trained["model"], "--config", trained["config"],
+                     "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write ")
+        assert captured.out == ""
+
     def test_out_that_is_a_directory_exits_2(self, trained, tmp_path, capsys):
         assert main(["evaluate", trained["model"], "--config", trained["config"],
                      "--out", str(tmp_path)]) == 2
@@ -331,7 +361,7 @@ SELECTION = {"dataset", "encoding", "threshold", "split", "ratio", "seed",
 COMMAND_KEYS = {
     "evaluate": (["evaluate", "model.json"], SELECTION),
     "roc": (["roc", "model.json", "--class-index", "0", "--out", "r.csv"], SELECTION),
-    "dataset-stats": (["dataset-stats"], {"dataset", "encoding", "threshold"}),
+    "dataset-stats": (["dataset-stats"], {"dataset"}),
 }
 
 
@@ -399,6 +429,22 @@ class TestRoc:
         assert main(["roc", trained["model"], "--class-index", "7",
                      "--out", str(tmp_path / "r.csv"),
                      "--config", trained["config"]]) == 2
+
+    def test_class_index_refused_before_the_model_is_read(self, tmp_path, capsys):
+        assert main(["roc", str(tmp_path / "nope.json"), "--class-index", "7",
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        assert "--class-index: invalid choice: 7" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_out_dash_writes_the_curve_to_stdout(self, trained, tmp_path,
+                                                 monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["roc", trained["model"], "--class-index", "0",
+                     "--out", "-", "--config", trained["config"]]) == 0
+        lines = capsys.readouterr().out.split("\n")
+        assert lines[0] == "threshold,fpr,tpr"
+        assert lines[-2].startswith("class 0 auc ")
+        assert not (tmp_path / "-").exists()
 
     def test_out_in_a_missing_directory_exits_2(self, trained, tmp_path, capsys):
         out = tmp_path / "missing" / "r.csv"
@@ -496,6 +542,14 @@ class TestCompare:
         assert rows[0] == {"method": "any", "status": "failed",
                            "error": "Singular matrix"}
 
+    def test_config_without_a_test_set_is_a_failed_row(self, tmp_path, dataset):
+        config, _ = mlp_config(tmp_path, dataset, "whole", split="none")
+        out_dir = tmp_path / "cmp"
+        assert main(["compare", config, "--out-dir", str(out_dir)]) == 3
+        rows = json.loads((out_dir / "comparison.json").read_text())["rows"]
+        assert rows[0] == {"method": "whole", "status": "failed",
+                           "error": "comparison run has an empty test set"}
+
     def test_kfold_config_runs_every_fold(self, tmp_path, dataset):
         config = write_config(
             tmp_path / "kf.cfg", dataset=dataset, model="mlp", epochs=30,
@@ -556,6 +610,18 @@ class TestDatasetStats:
 
     def test_no_dataset_configured_exits_2(self):
         assert main(["dataset-stats"]) == 2
+
+    def test_encoding_flag_exits_2(self, dataset, capsys):
+        assert main(["dataset-stats", "--dataset", str(dataset),
+                     "--encoding", "passthrough"]) == 2
+        assert "unrecognized arguments: --encoding" in capsys.readouterr().err
+
+    def test_config_encoding_keys_are_not_read(self, tmp_path, dataset, capsys):
+        assert main(["dataset-stats", "--dataset", str(dataset)]) == 0
+        alone = capsys.readouterr().out
+        config = write_config(tmp_path / "nan.cfg", dataset=dataset, threshold="nan")
+        assert main(["dataset-stats", "--config", config]) == 0
+        assert capsys.readouterr().out == alone
 
     def test_field_over_csv_limit_exits_3(self, tmp_path, capsys):
         path = tmp_path / "long.csv"

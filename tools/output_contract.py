@@ -13,7 +13,9 @@ every output under the temporary directory:
 
 - ``train`` for each of the configs in ``CONFIGS``, then per config
   ``evaluate`` to a file and to stdout and ``roc`` for classes 0..3;
-- ``compare`` over every config, and ``dataset-stats``;
+- ``roc`` to stdout (``--out -``) for one model;
+- ``compare`` over every config, and ``dataset-stats`` from ``--dataset``
+  and from a config whose ``threshold`` is nan, which it does not read;
 - the misuse cases in ``misuse``, which exit 2 to 5 (bad config, a flag
   the command does not read, an unwritable output path, bad data, a class
   absent from the data, bad model files), their model files edited from
@@ -156,6 +158,8 @@ def misuse(inp, run, dataset):
         ("misuse-out-dir-file", ["train", *data, "--out-dir", str(inp / "a_file")]),
         ("misuse-class-index", ["roc", str(oaa), *data, "--class-index", "7",
                                 "--out", str(run / "bad.csv")]),
+        ("misuse-dataset-stats-encoding", ["dataset-stats", *data,
+                                           "--encoding", "passthrough"]),
         ("misuse-evaluate-training-flags", ["evaluate", str(oaa), *data,
                                             "--mf-shape", "gbell", "--epochs", "7"]),
         ("misuse-compare-nan-rate", ["compare", str(short), str(nan_rate),
@@ -243,9 +247,14 @@ def run_side(tree, run):
             cli(f"roc{k}-{name}", ["roc", model, "--config", str(config),
                                    "--class-index", str(k), "--out",
                                    str(out / f"roc{k}.csv")])
+    cli("roc0-stdout-oaa", ["roc", str(run / "oaa" / "model.json"), "--config",
+                            str(configs["oaa"]), "--class-index", "0", "--out", "-"])
     cli("compare", ["compare", *map(str, configs.values()),
                     "--out-dir", str(run / "compare")])
     cli("dataset-stats", ["dataset-stats", "--dataset", str(dataset)])
+    nan_threshold = inp / "nan_threshold.cfg"
+    nan_threshold.write_text(f"dataset={dataset}\nthreshold=nan\n", encoding="utf-8")
+    cli("dataset-stats-nan-threshold", ["dataset-stats", "--config", str(nan_threshold)])
     for name, argv in unusual_data(inp, run, dataset) + misuse(inp, run, dataset):
         cli(name, argv)
     return codes
