@@ -35,7 +35,6 @@ call that evaluation, ROC and the command line make.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass, field, replace
 
@@ -109,8 +108,7 @@ class AnfisModel:
     input_dim: int
     input_range: tuple
     mf_bank: list                 # per input: list of membership functions
-    antecedents: np.ndarray       # (R, input_dim) int
-    consequents: np.ndarray       # (R, input_dim + 1) float
+    consequents: np.ndarray       # (R, input_dim + 1) float, rule r = grid cell r
     consequent_order: str = "linear"
     output_mode: str = "single"   # single | binary
     positive_class: int | None = None
@@ -125,15 +123,10 @@ class AnfisModel:
         if self.output_mode == "binary" and self.positive_class not in range(4):
             raise ValueError(f"binary model needs positive_class 0..3, "
                              f"got {self.positive_class!r}")
-        R = self.antecedents.shape[0] if self.antecedents.ndim == 2 else -1
-        if (self.antecedents.shape != (R, self.input_dim)
-                or self.consequents.shape != (R, self.input_dim + 1)
+        if (self.consequents.shape != (self.n_rules, self.input_dim + 1)
                 or len(self.mf_bank) != self.input_dim
                 or any(len(row) != self.mfs_per_input for row in self.mf_bank)):
             raise ValueError("inconsistent rule table dimensions")
-        if not np.all((self.antecedents >= 0)
-                      & (self.antecedents < self.mfs_per_input)):
-            raise ValueError("antecedent index out of range")
         premises = MF_SHAPES[self.mf_shape].stack(self.mf_bank)
         if not (np.all(np.isfinite(premises))
                 and np.all(np.isfinite(self.consequents))):
@@ -141,7 +134,14 @@ class AnfisModel:
 
     @property
     def n_rules(self):
-        return len(self.antecedents)
+        return self.mfs_per_input ** self.input_dim
+
+    @property
+    def antecedents(self):
+        """(R, input_dim) int: rule r's function on each input, the grid's
+        cells in order with the last input varying fastest."""
+        return np.indices((self.mfs_per_input,) * self.input_dim).reshape(
+            self.input_dim, -1).T
 
     def classify(self, X):
         """(class indices (n,), scores (n, 4)) from one forward pass.
@@ -174,20 +174,23 @@ class AnfisModel:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
+        model = cls(
             mf_shape=d["mf_shape"],
             mfs_per_input=int(d["mfs_per_input"]),
             input_dim=int(d["input_dim"]),
             input_range=tuple(d["input_range"]),
             mf_bank=[[mf_from_dict(m) for m in per_input]
                      for per_input in d["mf_bank"]],
-            antecedents=np.array(d["antecedents"], dtype=int),
             consequents=np.array(d["consequents"], dtype=float),
             consequent_order=d["consequent_order"],
             output_mode=d["output_mode"],
             positive_class=d["positive_class"],
             seed=int(d["seed"]),
             training=d["training"])
+        # only now that the file is known to hold M^d consequent rows
+        if d["antecedents"] != model.antecedents.tolist():
+            raise ValueError("rule table is not the full grid in order")
+        return model
 
 
 @dataclass(eq=False)
@@ -224,7 +227,7 @@ class AnfisEnsemble:
 def build_grid_model(mf_shape, mfs_per_input=2, input_range=(-1.0, 1.0),
                      seed=0, input_dim=5, consequent_order="linear",
                      output_mode="single", positive_class=None):
-    """Enumerate the full rule grid with evenly spread membership functions.
+    """The full rule grid with evenly spread membership functions.
 
     Centers sit on an even grid over ``input_range`` and widths are set
     so adjacent functions cross near degree 0.5.  Consequents start at
@@ -241,29 +244,24 @@ def build_grid_model(mf_shape, mfs_per_input=2, input_range=(-1.0, 1.0),
 
     mf_bank = [MF_SHAPES[mf_shape].grid(lo, hi, mfs_per_input)
                for _ in range(input_dim)]
-    antecedents = np.array(
-        list(itertools.product(range(mfs_per_input), repeat=input_dim)),
-        dtype=int)
-    consequents = np.zeros((len(antecedents), input_dim + 1))
+    consequents = np.zeros((mfs_per_input ** input_dim, input_dim + 1))
     return AnfisModel(
         mf_shape=mf_shape, mfs_per_input=mfs_per_input, input_dim=input_dim,
-        input_range=(lo, hi), mf_bank=mf_bank, antecedents=antecedents,
+        input_range=(lo, hi), mf_bank=mf_bank,
         consequents=consequents, consequent_order=consequent_order,
         output_mode=output_mode, positive_class=positive_class, seed=seed)
 
 
-def _firing(model, D, skip=None):
-    """(..., R, g): each rule's product of degrees over the inputs but ``skip``,
-    in input order: its cell of their grid, or a gather if the grid outgrows R."""
-    kept = [j for j in range(model.input_dim) if j != skip]
-    if not kept or model.mfs_per_input ** len(kept) > model.n_rules:
-        return math.prod(D[..., j, model.antecedents[:, j], :] for j in kept)
-    *lead, _, _, g = D.shape
-    grid = D[..., kept[0], :, :]
-    for j in kept[1:]:
-        grid = (grid[..., None, :] * D[..., j, None, :, :]).reshape(*lead, -1, g)
-    return grid[..., np.ravel_multi_index([model.antecedents[:, j] for j in kept],
-                                          (model.mfs_per_input,) * len(kept)), :]
+def _firing(D, skip=None):
+    """(..., R, g): the grid of degree products over the inputs, taken in
+    input order as outer products, so rule r is cell r.  With ``skip=j``,
+    the other inputs' grid, shaped (..., M^j, 1, M^(d-1-j), g)."""
+    *lead, d, M, g = D.shape
+    grid = np.ones((*lead, 1, g))
+    for j in range(d):
+        if j != skip:
+            grid = (grid[..., None, :] * D[..., j, None, :, :]).reshape(*lead, -1, g)
+    return grid if skip is None else grid.reshape(*lead, M**skip, 1, -1, g)
 
 
 def _layers(model, P, X, grads=False):
@@ -275,7 +273,7 @@ def _layers(model, P, X, grads=False):
     bank = MF_SHAPES[model.mf_shape].bank(P)
     x = np.ascontiguousarray(X.T)[None, :, None, :]
     D, dD = bank.degree_and_param_grads(x) if grads else (bank.degree(x), None)
-    W = np.ascontiguousarray(np.swapaxes(_firing(model, D), -1, -2))
+    W = np.ascontiguousarray(np.swapaxes(_firing(D), -1, -2))
     S = W.sum(axis=-1)
     degenerate = S == 0.0
     Wbar = np.full_like(W, 1.0 / model.n_rules)
@@ -430,11 +428,14 @@ def _loss_and_grads(model, layers, X, consequents, fold, grads=True):
 
     # dE/dD[j, m] sums dE/dW over the rules that use MF m on input j,
     # each times the product of that rule's degrees on the other inputs
-    onehot = np.eye(model.mfs_per_input)[model.antecedents.T]    # (d, R, M)
-    dEdW = np.swapaxes(dEdW, -1, -2)
+    M = model.mfs_per_input
+    onehot = np.eye(M)[model.antecedents.T]                      # (d, R, M)
+    dEdW = np.ascontiguousarray(np.swapaxes(dEdW, -1, -2))       # (C, R, g)
+    C, R, g = dEdW.shape
     dEdD = np.empty_like(D)
     for j in range(model.input_dim):
-        dEdD[:, j] = onehot[j].T @ (dEdW * _firing(model, D, skip=j))
+        cells = dEdW.reshape(C, M**j, M, -1, g) * _firing(D, skip=j)
+        dEdD[:, j] = onehot[j].T @ cells.reshape(C, R, g)
     return mse, np.einsum("kcjmg,cjmg->cjmk", dD, dEdD)
 
 
@@ -491,7 +492,6 @@ def _targets(members, samples):
 def _member(model, config, **changes):
     """A copy of ``model`` to train under ``config``, sharing no state."""
     return replace(model, mf_bank=[list(r) for r in model.mf_bank],
-                   antecedents=model.antecedents.copy(),
                    consequents=model.consequents.copy(),
                    training=config.to_dict(), **changes)
 

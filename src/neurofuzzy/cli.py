@@ -292,7 +292,15 @@ def cmd_roc(args):
     return 0
 
 
+def _is_number(value, kinds=(int, float)):
+    """Whether a JSON value is of ``kinds``; true and false are not numbers."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _load_baselines(path):
+    """The published rows: ``test_size`` an int >= 1, and ``rows`` a list of
+    objects with a str ``method``, numeric ``mwcs`` and ``cap_percent``, and
+    optionally an int ``cap_decimals`` >= 0, the printed CAP's precision."""
     if path is None:
         ref = resources.files("neurofuzzy") / "published" / "baselines.json"
         payload = json.loads(ref.read_text(encoding="utf-8"))
@@ -303,9 +311,23 @@ def _load_baselines(path):
             raise ConfigError(f"cannot read baselines file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"baselines file is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError("baselines file must hold a JSON object")
     for field in ("test_size", "rows"):
         if field not in payload:
             raise ConfigError(f"baselines file is missing {field!r}")
+    if not (_is_number(payload["test_size"], int) and payload["test_size"] >= 1):
+        raise ConfigError("baselines test_size must be an int >= 1, "
+                          f"got {payload['test_size']!r}")
+    if not isinstance(payload["rows"], list):
+        raise ConfigError("baselines rows must be a list")
+    for k, row in enumerate(payload["rows"]):
+        if not (isinstance(row, dict) and isinstance(row.get("method"), str)
+                and _is_number(row.get("mwcs")) and _is_number(row.get("cap_percent"))
+                and _is_number(row.get("cap_decimals", 0), int)
+                and row.get("cap_decimals", 0) >= 0):
+            raise ConfigError(f"baselines row {k} needs a str method, numeric mwcs "
+                              "and cap_percent, and an int cap_decimals >= 0 if any")
     return payload
 
 

@@ -2,8 +2,8 @@ import copy
 import itertools
 import json
 import math
-import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +16,14 @@ from neurofuzzy.anfis import (AnfisEnsemble, AnfisModel, TrainingConfig,
                               train_hybrid, train_oaa)
 from neurofuzzy import anfis
 from neurofuzzy.anfis import _forward_batch
+from neurofuzzy.cli import main
 from neurofuzzy.data import Dataset
 from neurofuzzy.errors import ModelFormatError, NumericError
+from neurofuzzy.fuzzy import MF_SHAPES
 from neurofuzzy.model_io import load_model, model_to_json, save_model
 from sugeno_reference import rules, sugeno_infer
+
+DATASET = Path(__file__).resolve().parents[1] / "data" / "ukm_synthetic.csv"
 
 
 def random_model(rng, mf_shape="gbell", input_dim=3, mfs=2):
@@ -131,6 +135,24 @@ class TestBuildGridModel:
         with pytest.raises(ValueError):
             build_grid_model("gbell", mfs_per_input=1)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"mf_shape": "hexagon"}, "unknown mf_shape 'hexagon'"),
+        ({"input_range": (1.0, 1.0)}, "hi > lo"),
+        ({"input_range": (1.0, -1.0)}, "hi > lo"),
+    ], ids=["unknown-shape", "empty-range", "reversed-range"])
+    def test_bad_grid_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            build_grid_model(**{"mf_shape": "gbell", **kwargs})
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"output_mode": "oaa"}, "unknown output_mode 'oaa'"),
+        ({"output_mode": "binary"}, "binary model needs positive_class"),
+        ({"output_mode": "binary", "positive_class": 4}, "binary model needs"),
+    ], ids=["unknown-output-mode", "binary-without-class", "binary-class-4"])
+    def test_bad_model_fields_rejected(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            replace(build_grid_model("gbell", input_dim=2), **changes)
+
     def test_zero_consequents(self):
         assert not build_grid_model("triangular").consequents.any()
 
@@ -178,6 +200,13 @@ class TestForward:
                 assert d.y == pytest.approx(y_ref, abs=1e-12)
                 np.testing.assert_allclose(d.normalized, wbar_ref, atol=1e-12)
 
+    @pytest.mark.parametrize("X", [np.zeros((4, 2)), np.zeros(3)], ids=["width-2", "1-d"])
+    def test_wrong_input_width_rejected(self, X):
+        model = build_grid_model("gbell", input_dim=3)
+        P = MF_SHAPES["gbell"].stack(model.mf_bank)[None]
+        with pytest.raises(ValueError, match=r"expected \(n, 3\) inputs"):
+            anfis._layers(model, P, X)
+
     def test_degenerate_input_falls_back_to_uniform(self):
         model = build_grid_model("triangular", input_dim=1, mfs_per_input=2)
         # all triangles are zero miles away from the grid
@@ -193,15 +222,6 @@ def gathered_firing(model, D, skip=None):
                      for j in range(model.input_dim) if j != skip)
 
 
-def rule_tables(rng, d, M):
-    """(name, antecedents): the canonical grid and three other tables."""
-    grid = build_grid_model("gbell", mfs_per_input=M, input_dim=d).antecedents
-    subset = np.sort(rng.choice(len(grid), size=max(1, len(grid) // 3),
-                                replace=False))
-    return [("canonical", grid), ("permuted", grid[rng.permutation(len(grid))]),
-            ("subset", grid[subset]), ("repeated-row", np.vstack([grid, grid[-1:]]))]
-
-
 class TestFiringGrid:
     """The outer-product rule layer, byte for byte against the gather."""
 
@@ -214,52 +234,71 @@ class TestFiringGrid:
         D = rng.uniform(0.0, 1.0, size=lead + (d, M, 7))
         D[rng.uniform(size=D.shape) < 0.2] = 0.0                 # exact zeros
         D[..., 0] = 1e-160                                       # products underflow
-        base = build_grid_model("gbell", mfs_per_input=M, input_dim=d)
-        for name, antecedents in rule_tables(rng, d, M):
-            model = replace(base, antecedents=antecedents,
-                            consequents=np.zeros((len(antecedents), d + 1)))
-            for skip in [None, *range(d)]:
-                got, want = anfis._firing(model, D, skip), gathered_firing(model, D, skip)
-                if d == 1 and skip == 0:                         # no input kept
-                    assert (got, want) == (1.0, 1)
-                    continue
-                assert got.shape == want.shape == lead + (len(antecedents), 7)
-                assert got.tobytes() == want.tobytes(), (name, skip)
+        model = build_grid_model("gbell", mfs_per_input=M, input_dim=d)
+        R = model.n_rules
+        assert anfis._firing(D).tobytes() == gathered_firing(model, D).tobytes()
+        for skip in range(d):
+            got = anfis._firing(D, skip)
+            assert got.shape == lead + (M**skip, 1, M ** (d - 1 - skip), 7)
+            got = np.broadcast_to(got, lead + (M**skip, M, M ** (d - 1 - skip), 7))
+            # with no other input the gather is the int 1; 1.0 * 1 is exact
+            want = 1.0 * np.broadcast_to(gathered_firing(model, D, skip), lead + (R, 7))
+            assert got.reshape(lead + (R, 7)).tobytes() == want.tobytes(), skip
 
-    def test_subset_table_at_large_m_never_builds_the_grid(self):
-        # 36 of the 6^5 = 7,776 cells: the grid would take 7,776 x 500 doubles
-        # (31 MB) where the gather holds a few 36 x 500 slabs
-        rng = np.random.default_rng(120)
-        base = build_grid_model("gbell", mfs_per_input=6, input_dim=5)
-        model = replace(base, antecedents=rng.integers(0, 6, size=(36, 5)),
-                        consequents=np.zeros((36, 6)))
-        D = rng.uniform(0.0, 1.0, size=(5, 6, 500))
-        for skip in [None, *range(5)]:
-            tracemalloc.start()
-            try:
-                got = anfis._firing(model, D, skip)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert got.tobytes() == gathered_firing(model, D, skip).tobytes()
-            assert peak < 10 * got.nbytes, (skip, peak)
+    @pytest.mark.parametrize("shape", ["gbell", "gauss2"])
+    @pytest.mark.parametrize("d,M", [(1, 2), (2, 3), (3, 2), (5, 2), (5, 3)])
+    @pytest.mark.parametrize("C", [1, 4])
+    def test_premise_gradient_bytes_equal_the_gather(self, shape, d, M, C):
+        rng = np.random.default_rng(200 + 10 * d + M + C)
+        model = build_grid_model(shape, mfs_per_input=M, input_dim=d)
+        bank = MF_SHAPES[shape]
+        P = bank.stack(model.mf_bank)
+        P = bank.repair(P * rng.uniform(0.8, 1.2, size=(C,) + P.shape))
+        X = rng.uniform(-1.0, 1.0, size=(30, d))
+        X[:2] = [[40.0], [3.0]]     # tiny products; on gauss2 row 0 underflows to 0
+        rows, *fold = anfis._fold_rows(X, rng.normal(size=(C, 30)))
+        layers = anfis._layers(model, P, rows, True)
+        consequents = rng.normal(size=(C, model.n_rules, d + 1))
+        _, got = anfis._loss_and_grads(model, layers, rows, consequents, fold)
 
-    @pytest.mark.parametrize("shape", ["gbell", "gauss2", "triangular"])
-    def test_permuted_rule_table_classifies_as_the_grid(self, shape):
-        rng = np.random.default_rng(110)
-        model = (random_model(rng, mf_shape=shape, input_dim=5) if shape != "triangular"
-                 else build_grid_model("triangular", input_dim=5))
-        model.consequents = rng.normal(size=model.consequents.shape)
-        perm = rng.permutation(model.n_rules)
-        permuted = replace(model, antecedents=model.antecedents[perm],
-                           consequents=model.consequents[perm])
-        X = rng.uniform(-1, 1, size=(200, 5))
-        classes, scores = model.classify(X)
-        got_classes, got_scores = permuted.classify(X)
-        np.testing.assert_array_equal(got_classes, classes)
-        np.testing.assert_allclose(got_scores, scores, rtol=0, atol=1e-12)
-        W, W_permuted = _forward_batch(model, X)[1], _forward_batch(permuted, X)[1]
-        assert W_permuted.tobytes() == W[:, perm].tobytes()
+        D, dD, W, S, Wbar, degenerate = layers
+        counts, means, _ = fold
+        F, y = anfis._outputs(rows, consequents, Wbar)
+        dEdy = 2.0 * counts * (y - means) / counts.sum()
+        dEdW = np.zeros_like(W)
+        np.divide(dEdy[..., None] * (F - y[..., None]), S[..., None], out=dEdW,
+                  where=~degenerate[..., None])
+        dEdW = np.swapaxes(dEdW, -1, -2)
+        onehot = np.eye(M)[model.antecedents.T]
+        dEdD = np.stack([onehot[j].T @ (dEdW * gathered_firing(model, D, skip=j))
+                         for j in range(d)], axis=1)
+        want = np.einsum("kcjmg,cjmg->cjmk", dD, dEdD)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("M,d", [(2, 1), (2, 5), (3, 2), (4, 3)])
+    def test_antecedents_are_the_grid_in_product_order(self, M, d):
+        model = build_grid_model("gbell", mfs_per_input=M, input_dim=d)
+        assert model.antecedents.tolist() == [
+            list(cell) for cell in itertools.product(range(M), repeat=d)]
+
+    @pytest.mark.parametrize("table", ["permuted", "subset", "repeated-row",
+                                       "out-of-range"])
+    def test_other_rule_table_in_a_file_is_refused(self, table, tmp_path, capsys):
+        payload = build_grid_model("gbell").to_dict()
+        grid, consequents = payload["antecedents"], payload["consequents"]
+        payload["antecedents"], payload["consequents"] = {
+            "permuted": (grid[::-1], consequents[::-1]),
+            "subset": (grid[:8], consequents[:8]),
+            "repeated-row": (grid + grid[-1:], consequents + consequents[-1:]),
+            "out-of-range": (grid[:3] + [[0, 2, 0, 0, 0]] + grid[4:], consequents),
+        }[table]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+        assert main(["evaluate", str(path), "--dataset", str(DATASET),
+                     "--split", "none"]) == 5
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestLse:
@@ -457,6 +496,14 @@ class TestPremiseGradients:
         _, grads = premise_gradients(model, X, rng.normal(size=10))
         for per_input in grads:
             assert not np.asarray(per_input).any()
+
+    def test_step_leaves_a_triangular_model_unchanged(self):
+        model = build_grid_model("triangular", input_dim=2)
+        model.consequents = np.random.default_rng(15).normal(size=model.consequents.shape)
+        before = model_to_json(model)
+        X = np.random.default_rng(16).uniform(-1, 1, size=(10, 2))
+        assert premise_gradient_step(model, X, np.arange(10.0), learn_rate=0.5) is model
+        assert model_to_json(model) == before
 
     def test_step_keeps_widths_positive(self):
         rng = np.random.default_rng(14)
@@ -673,6 +720,16 @@ class TestSerialization:
         path = tmp_path / "bad.json"
         path.write_text("{truncated", encoding="utf-8")
         with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(ModelFormatError, match="cannot read model file"):
+            load_model(tmp_path / "absent.json")
+
+    def test_top_level_array_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([build_grid_model("gbell").to_dict()]), encoding="utf-8")
+        with pytest.raises(ModelFormatError, match="expected a JSON object"):
             load_model(path)
 
     def test_inconsistent_shapes_rejected(self, tmp_path):

@@ -160,6 +160,7 @@ class TestTrain:
     @pytest.mark.parametrize("model,flag,value", [
         ("anfis", "--ridge", "nan"),
         ("anfis", "--mfs-per-input", "1"),
+        ("anfis", "--mf-shape", "hexagon"),
         ("mlp", "--learn-rate", "nan"),
     ])
     def test_bad_training_value_creates_no_out_dir(self, tmp_path, dataset,
@@ -211,6 +212,23 @@ class TestTrain:
         path.write_text(f"dataset={dataset}\nepochs=5\nepochs=6\n",
                         encoding="utf-8")
         assert main(["train", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("text", [None, "model=mlp\nepochs 5\n"],
+                             ids=["missing-file", "line-without-equals"])
+    def test_unreadable_config_file_exits_2(self, tmp_path, dataset, text, capsys):
+        path = tmp_path / "run.cfg"
+        if text is not None:
+            path.write_text(f"dataset={dataset}\n" + text, encoding="utf-8")
+        assert main(["train", "--config", str(path),
+                     "--out-dir", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "run").exists()
+
+    def test_config_comments_and_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("# a run\n\nmodel = mlp  # the network\n   \n# epochs=3\n",
+                        encoding="utf-8")
+        assert cli.read_config_file(path) == {"model": "mlp"}
 
     def test_flags_override_config_file(self, tmp_path, dataset):
         config, out_dir = mlp_config(tmp_path, dataset, "ovr", epochs=5)
@@ -454,6 +472,30 @@ class TestRoc:
         assert not out.parent.exists()
 
 
+PUBLISHED_ROW = {"method": "probe", "mwcs": 2.0, "cap_percent": 98.62, "cap_decimals": 2}
+# baselines files refused with exit 2 before any output is written
+MALFORMED_BASELINES = {
+    "top-level-number": 5,
+    "test-size-zero": {"test_size": 0, "rows": [PUBLISHED_ROW]},
+    "test-size-true": {"test_size": True, "rows": [PUBLISHED_ROW]},
+    "test-size-float": {"test_size": 145.0, "rows": [PUBLISHED_ROW]},
+    "rows-a-number": {"test_size": 145, "rows": 5},
+    "row-a-number": {"test_size": 145, "rows": [5]},
+    "row-without-mwcs": {"test_size": 145, "rows": [
+        {k: v for k, v in PUBLISHED_ROW.items() if k != "mwcs"}]},
+    "row-without-cap-percent": {"test_size": 145, "rows": [
+        {k: v for k, v in PUBLISHED_ROW.items() if k != "cap_percent"}]},
+    "method-a-number": {"test_size": 145, "rows": [{**PUBLISHED_ROW, "method": 7}]},
+    "mwcs-a-string": {"test_size": 145, "rows": [{**PUBLISHED_ROW, "mwcs": "1"}]},
+    "cap-percent-false": {"test_size": 145, "rows": [{**PUBLISHED_ROW,
+                                                      "cap_percent": False}]},
+    "cap-decimals-a-string": {"test_size": 145, "rows": [{**PUBLISHED_ROW,
+                                                          "cap_decimals": "2"}]},
+    "cap-decimals-negative": {"test_size": 145, "rows": [{**PUBLISHED_ROW,
+                                                          "cap_decimals": -400}]},
+}
+
+
 class TestCompare:
     def test_constants_only(self, tmp_path, capsys):
         out_dir = tmp_path / "cmp"
@@ -584,6 +626,25 @@ class TestCompare:
         custom.write_text("{\"rows\": []}", encoding="utf-8")
         assert main(["compare", "--out-dir", str(tmp_path / "cmp"),
                      "--baselines", str(custom)]) == 2
+
+    @pytest.mark.parametrize("case", MALFORMED_BASELINES)
+    def test_malformed_baselines_file_exits_2(self, case, tmp_path, capsys):
+        custom = tmp_path / "base.json"
+        custom.write_text(json.dumps(MALFORMED_BASELINES[case]), encoding="utf-8")
+        assert main(["compare", "--out-dir", str(tmp_path / "cmp"),
+                     "--baselines", str(custom)]) == 2
+        assert capsys.readouterr().err.startswith("error: baselines ")
+        assert not (tmp_path / "cmp").exists()
+
+    @pytest.mark.parametrize("text", [None, "{\"test_size\": 145,"],
+                             ids=["missing-file", "not-json"])
+    def test_unreadable_baselines_exits_2(self, text, tmp_path, capsys):
+        custom = tmp_path / "base.json"
+        if text is not None:
+            custom.write_text(text, encoding="utf-8")
+        assert main(["compare", "--out-dir", str(tmp_path / "cmp"),
+                     "--baselines", str(custom)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestDatasetStats:

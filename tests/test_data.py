@@ -137,6 +137,12 @@ class TestLoadMessages:
             load_dataset(path)
         assert str(err.value) == f"{path}: {message}"
 
+    def test_empty_file(self, tmp_path):
+        path = write_csv(tmp_path, [], header="")
+        with pytest.raises(DataLoadError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"{path}: file is empty"
+
     def test_duplicated_column(self, tmp_path):
         path = write_csv(tmp_path, ["0.1,0.2,0.3,0.4,0.5,0.5,low"],
                          header="STG,SCG,STR,LPR,PEG,stg,UNS\n")
@@ -404,6 +410,19 @@ class TestKfold:
         samples = make_samples([2, 10, 10, 10])
         with pytest.raises(SplitError, match="VeryLow"):
             kfold(samples, 5, seed=0)
+
+    def test_absent_class_is_skipped(self):
+        folds = kfold(make_samples([10, 0, 10, 10]), 5, seed=0)
+        assert sorted(i for f in folds for i in f.test_indices) == list(range(30))
+
+    @pytest.mark.parametrize("counts, k, message", [
+        ([10, 10, 10, 10], 1, "k must be >= 2, got 1"),
+        ([10, 10, 10, 10], 0, "k must be >= 2, got 0"),
+        ([0, 0, 0, 0], 5, "cannot split an empty sample list"),
+    ], ids=["one-fold", "no-folds", "no-rows"])
+    def test_bad_inputs_rejected(self, counts, k, message):
+        with pytest.raises(SplitError, match=message):
+            kfold(make_samples(counts), k, seed=0)
 
 
 class TestClassDistribution:

@@ -36,6 +36,25 @@ def points(curve):
     return tuple(zip(curve.fpr.tolist(), curve.tpr.tolist()))
 
 
+EMPTY = BinaryConfusion(tp=0, fp=0, tn=0, fn=0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: BinaryConfusion(tp=1, fp=-1, tn=0, fn=0), "must be non-negative"),
+    (lambda: oaa_confusion([0, 1], [0], 0), "differ in length: 2 vs 1"),
+    (lambda: oaa_confusion([], [], 0), "must be non-empty"),
+    (lambda: total_accuracy(EMPTY), "empty confusion"),
+    (lambda: random_accuracy(EMPTY), "empty confusion"),
+    (lambda: roc_curve([0.1, 0.9], [0, 1, 1]), "differ in length"),
+    (lambda: evaluate_multiclass([0, 1, 2], [0, 1]), "differ in length"),
+    (lambda: evaluate_multiclass([], []), "must be non-empty"),
+], ids=["negative-count", "oaa-lengths", "oaa-empty", "total-accuracy-empty",
+        "random-accuracy-empty", "roc-lengths", "multiclass-lengths", "multiclass-empty"])
+def test_malformed_input_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestOaaConfusion:
     def test_hand_count(self):
         true = [0, 0, 1, 2]
@@ -257,6 +276,8 @@ class TestMwcsCap:
             mwcs_cap([], 100)
         with pytest.raises(ValueError):
             mwcs_cap([101], 100)
+        with pytest.raises(ValueError, match="test_size must be >= 1, got 0"):
+            mwcs_cap([0], 0)
 
     def test_consistency_check(self):
         assert cap_consistent(3.5, 96.5, 100)

@@ -237,6 +237,17 @@ class TestTraining:
         assert trace.epochs_run < 500
         assert trace.train_mse[-1] <= 0.05
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: build_mlp(hidden=0), "hidden must be >= 1, got 0"),
+        (lambda: mlp_forward(build_mlp(), np.zeros((3, 4))), r"expected \(n, 5\) inputs"),
+        (lambda: mlp_forward(build_mlp(), np.zeros(5)), r"expected \(n, 5\) inputs"),
+        (lambda: train_backprop(build_mlp(), Dataset(np.empty((0, 5)), []), [],
+                                MlpTrainingConfig()), "training set is empty"),
+    ], ids=["no-hidden-units", "wrong-width", "one-dimensional", "no-rows"])
+    def test_bad_input_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_config_bounds(self):
         with pytest.raises(ValueError):
             MlpTrainingConfig(epochs=0)

@@ -18,8 +18,8 @@ every output under the temporary directory:
   and from a config whose ``threshold`` is nan, which it does not read;
 - the misuse cases in ``misuse``, which exit 2 to 5 (bad config, a flag
   the command does not read, an unwritable output path, bad data, a class
-  absent from the data, bad model files), their model files edited from
-  the side's own trained models.  Each faulty data
+  absent from the data, bad model files, malformed baselines files), their
+  model files edited from the side's own trained models.  Each faulty data
   file (a non-numeric, out-of-range or missing cell, a missing or
   duplicated column, two faults in one file in either order) goes
   through both ``dataset-stats`` and ``train``;
@@ -117,6 +117,11 @@ def misuse(inp, run, dataset):
     short, nan_rate = inp / "short.cfg", inp / "nan_rate.cfg"
     short.write_text(f"dataset={dataset}\nepochs=2\n", encoding="utf-8")
     nan_rate.write_text(f"dataset={dataset}\nlearn_rate=nan\n", encoding="utf-8")
+    row = {"method": "probe", "cap_percent": 98.62}
+    baselines = {"test-size-zero": {"test_size": 0, "rows": [{**row, "mwcs": 2.0}]},
+                 "row-without-mwcs": {"test_size": 145, "rows": [row]}}
+    for name, payload in baselines.items():
+        (inp / f"{name}.json").write_text(json.dumps(payload), encoding="utf-8")
     (inp / "a_file").write_text("", encoding="utf-8")
     data = ["--dataset", str(dataset)]
     (inp / "corrupt.json").write_text('{"kind": "anfis"', encoding="utf-8")
@@ -144,6 +149,10 @@ def misuse(inp, run, dataset):
             mlp, inp / "relu.json", lambda d: d.update(hidden_activation="relu")),
         "mlp-three-classes": edited_model(
             mlp, inp / "three_classes.json", drop_last_class),
+        "permuted-rules": edited_model(single, inp / "permuted.json", lambda d: d.update(
+            antecedents=d["antecedents"][::-1], consequents=d["consequents"][::-1])),
+        "subset-rules": edited_model(single, inp / "subset.json", lambda d: d.update(
+            antecedents=d["antecedents"][:8], consequents=d["consequents"][:8])),
     }
     cases = [
         ("misuse-unknown-key", ["train", "--config", str(unknown_key),
@@ -177,6 +186,9 @@ def misuse(inp, run, dataset):
                                  "--split", "none", "--class-index", "3",
                                  "--out", str(run / "absent.csv")]),
     ]
+    cases += [(f"misuse-baselines-{name}", ["compare", "--baselines", str(inp / f"{name}.json"),
+                                            "--out-dir", str(run / f"bad-{name}")])
+              for name in baselines]
     cases += [(f"misuse-data-{name}-{command}",
                [command, "--dataset", str(inp / f"{name}.csv"),
                 *(["--out-dir", str(run / f"bad-{name}")] if command == "train" else [])])
