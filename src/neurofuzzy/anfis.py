@@ -252,16 +252,14 @@ def build_grid_model(mf_shape, mfs_per_input=2, input_range=(-1.0, 1.0),
         output_mode=output_mode, positive_class=positive_class, seed=seed)
 
 
-def _firing(D, skip=None):
+def _firing(D):
     """(..., R, g): the grid of degree products over the inputs, taken in
-    input order as outer products, so rule r is cell r.  With ``skip=j``,
-    the other inputs' grid, shaped (..., M^j, 1, M^(d-1-j), g)."""
-    *lead, d, M, g = D.shape
+    input order as outer products, so rule r is cell r."""
+    *lead, d, _, g = D.shape
     grid = np.ones((*lead, 1, g))
     for j in range(d):
-        if j != skip:
-            grid = (grid[..., None, :] * D[..., j, None, :, :]).reshape(*lead, -1, g)
-    return grid if skip is None else grid.reshape(*lead, M**skip, 1, -1, g)
+        grid = (grid[..., None, :] * D[..., j, None, :, :]).reshape(*lead, -1, g)
+    return grid
 
 
 def _layers(model, P, X, grads=False):
@@ -275,6 +273,8 @@ def _layers(model, P, X, grads=False):
     D, dD = bank.degree_and_param_grads(x) if grads else (bank.degree(x), None)
     W = np.ascontiguousarray(np.swapaxes(_firing(D), -1, -2))
     S = W.sum(axis=-1)
+    if not np.all(np.isfinite(S)):
+        raise NumericError("non-finite firing strengths: a membership degree overflowed")
     degenerate = S == 0.0
     Wbar = np.full_like(W, 1.0 / model.n_rules)
     np.divide(W, S[..., None], out=Wbar, where=~degenerate[..., None])
@@ -426,16 +426,15 @@ def _loss_and_grads(model, layers, X, consequents, fold, grads=True):
     np.divide(dEdy[..., None] * (F - y[..., None]), S[..., None], out=dEdW,
               where=~degenerate[..., None])
 
-    # dE/dD[j, m] sums dE/dW over the rules that use MF m on input j,
-    # each times the product of that rule's degrees on the other inputs
-    M = model.mfs_per_input
-    onehot = np.eye(M)[model.antecedents.T]                      # (d, R, M)
+    # dE/dD[j, m] sums dE/dW over the rules that use MF m on input j, the
+    # grid's (C, M^j, M, M^(d-1-j), g) view at m on axis 2, each times the
+    # product of that rule's degrees on the other inputs
+    C, d, M, g = D.shape
     dEdW = np.ascontiguousarray(np.swapaxes(dEdW, -1, -2))       # (C, R, g)
-    C, R, g = dEdW.shape
     dEdD = np.empty_like(D)
-    for j in range(model.input_dim):
-        cells = dEdW.reshape(C, M**j, M, -1, g) * _firing(D, skip=j)
-        dEdD[:, j] = onehot[j].T @ cells.reshape(C, R, g)
+    for j in range(d):
+        others = _firing(D[:, np.arange(d) != j]).reshape(C, M**j, 1, -1, g)
+        dEdD[:, j] = (dEdW.reshape(C, M**j, M, -1, g) * others).sum(axis=(1, 3))
     return mse, np.einsum("kcjmg,cjmg->cjmk", dD, dEdD)
 
 
@@ -453,7 +452,9 @@ def premise_gradients(model, X, t):
     Returns ``(loss, grads)``, grads (d, M, K), computed on the folded
     rows as training does.  Rows where the total firing strength is
     exactly zero sit on the uniform fallback and contribute no gradient.
-    Triangular banks return zero gradients.
+    Triangular banks return zero gradients.  A gradient that is not
+    finite (a row with a subnormal total strength gives one) raises
+    ``NumericError``.
     """
     rows, *fold = _fold_rows(np.asarray(X, dtype=float),
                              np.asarray(t, dtype=float)[None])
@@ -461,7 +462,11 @@ def premise_gradients(model, X, t):
     P = shape.stack(model.mf_bank)
     layers = _layers(model, P[None], rows, shape.trainable)
     mse, grads = _loss_and_grads(model, layers, rows, model.consequents[None], fold)
-    return float(mse[0]), np.zeros_like(P) if grads is None else grads[0]
+    if grads is None:
+        return float(mse[0]), np.zeros_like(P)
+    if not np.all(np.isfinite(grads)):
+        raise NumericError("non-finite premise gradient")
+    return float(mse[0]), grads[0]
 
 
 def premise_gradient_step(model, X, t, learn_rate):

@@ -19,9 +19,10 @@ from neurofuzzy.errors import NumericError
 from neurofuzzy.fuzzy import MF_SHAPES
 
 
-def _firing(model, D, skip=None):
-    """(R, n): each rule's product of degrees over the inputs but ``skip``."""
-    return math.prod(D[j][model.antecedents[:, j]]
+def gathered_firing(model, D, skip=None):
+    """(..., R, n): each rule's degrees on the inputs but ``skip``, gathered
+    rule by rule from D (..., d, M, n) and multiplied by ``math.prod``."""
+    return math.prod(D[..., j, model.antecedents[:, j], :]
                      for j in range(model.input_dim) if j != skip)
 
 
@@ -50,7 +51,7 @@ def premise_gradients(model, X, t):
     onehot = np.eye(M)[model.antecedents.T]                      # (d, R, M)
     dEdD = np.empty_like(D)
     for j in range(d):
-        dEdD[j] = onehot[j].T @ (dEdW.T * _firing(model, D, skip=j))
+        dEdD[j] = onehot[j].T @ (dEdW.T * gathered_firing(model, D, skip=j))
     return loss, np.einsum("kjmn,jmn->jmk", dD, dEdD)
 
 

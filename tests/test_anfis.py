@@ -21,6 +21,7 @@ from neurofuzzy.data import Dataset
 from neurofuzzy.errors import ModelFormatError, NumericError
 from neurofuzzy.fuzzy import MF_SHAPES
 from neurofuzzy.model_io import load_model, model_to_json, save_model
+from hybrid_reference import gathered_firing
 from sugeno_reference import rules, sugeno_infer
 
 DATASET = Path(__file__).resolve().parents[1] / "data" / "ukm_synthetic.csv"
@@ -215,13 +216,6 @@ class TestForward:
         np.testing.assert_allclose(d.normalized, [0.5, 0.5])
 
 
-def gathered_firing(model, D, skip=None):
-    """Each rule's degrees gathered rule by rule and multiplied by
-    ``math.prod``: the oracle for the grid ``anfis._firing`` builds."""
-    return math.prod(D[..., j, model.antecedents[:, j], :]
-                     for j in range(model.input_dim) if j != skip)
-
-
 class TestFiringGrid:
     """The outer-product rule layer, byte for byte against the gather."""
 
@@ -238,9 +232,10 @@ class TestFiringGrid:
         R = model.n_rules
         assert anfis._firing(D).tobytes() == gathered_firing(model, D).tobytes()
         for skip in range(d):
-            got = anfis._firing(D, skip)
-            assert got.shape == lead + (M**skip, 1, M ** (d - 1 - skip), 7)
-            got = np.broadcast_to(got, lead + (M**skip, M, M ** (d - 1 - skip), 7))
+            got = anfis._firing(np.delete(D, skip, axis=-3))
+            assert got.shape == lead + (M ** (d - 1), 7)
+            got = np.broadcast_to(got.reshape(lead + (M**skip, 1, -1, 7)),
+                                  lead + (M**skip, M, M ** (d - 1 - skip), 7))
             # with no other input the gather is the int 1; 1.0 * 1 is exact
             want = 1.0 * np.broadcast_to(gathered_firing(model, D, skip), lead + (R, 7))
             assert got.reshape(lead + (R, 7)).tobytes() == want.tobytes(), skip
@@ -530,6 +525,20 @@ class TestPremiseGradients:
         monkeypatch.setattr(anfis, "premise_gradients", lambda *_: (loss, grads))
         with pytest.raises(NumericError):
             premise_gradient_step(model, X, t, learn_rate=0.01)
+        assert model_to_json(model) == before
+
+    def test_subnormal_total_strength_is_refused(self):
+        # every degree is tiny and S = 7.8e-313: dE/dW = dE/dy (F - y) / S
+        # overflows to inf, which the zero products turn into NaN
+        model = build_grid_model("gauss2", mfs_per_input=3, input_dim=5)
+        model.consequents = np.random.default_rng(0).normal(size=model.consequents.shape)
+        X = np.full((1, 5), 8.2)
+        assert 0.0 < _forward_batch(model, X)[1].sum() < np.finfo(float).tiny
+        before = model_to_json(model)
+        with np.errstate(all="ignore"), pytest.raises(NumericError):
+            premise_gradients(model, X, [1.0])
+        with np.errstate(all="ignore"), pytest.raises(NumericError):
+            premise_gradient_step(model, X, [1.0], learn_rate=0.01)
         assert model_to_json(model) == before
 
 

@@ -326,6 +326,19 @@ class TestEvaluate:
                      "--split", "none"]) == 5
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_overflowing_degrees_exit_4(self, tmp_path, dataset, capsys):
+        # every parameter is finite, so the file loads, but (x - c)^2
+        # overflows and the firing strengths come out NaN
+        payload = build_grid_model("gauss2", input_dim=5).to_dict()
+        payload["mf_bank"][0][0].update(sigma_left=1e200, c_left=1e200,
+                                        sigma_right=1e200, c_right=1e200)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with np.errstate(all="ignore"):
+            assert main(["evaluate", str(path), "--dataset", str(dataset),
+                         "--split", "none"]) == 4
+        assert "non-finite firing strengths" in capsys.readouterr().err
+
     @pytest.mark.parametrize("case", REFUSED_MODELS)
     def test_refused_model_file_exits_5(self, case, tmp_path, dataset, capsys):
         payload, at_load = REFUSED_MODELS[case]()

@@ -18,7 +18,8 @@ every output under the temporary directory:
   and from a config whose ``threshold`` is nan, which it does not read;
 - the misuse cases in ``misuse``, which exit 2 to 5 (bad config, a flag
   the command does not read, an unwritable output path, bad data, a class
-  absent from the data, bad model files, malformed baselines files), their
+  absent from the data, bad model files, a model whose membership degrees
+  overflow, malformed baselines files), their
   model files edited from the side's own trained models.  Each faulty data
   file (a non-numeric, out-of-range or missing cell, a missing or
   duplicated column, two faults in one file in either order) goes
@@ -153,6 +154,10 @@ def misuse(inp, run, dataset):
             antecedents=d["antecedents"][::-1], consequents=d["consequents"][::-1])),
         "subset-rules": edited_model(single, inp / "subset.json", lambda d: d.update(
             antecedents=d["antecedents"][:8], consequents=d["consequents"][:8])),
+        # finite parameters whose gauss2 degrees overflow to NaN
+        "overflowing-degrees": edited_model(
+            oaa, inp / "overflow.json", lambda d: d["members"][0]["mf_bank"][0][0].update(
+                sigma_left=1e200, c_left=1e200, sigma_right=1e200, c_right=1e200)),
     }
     cases = [
         ("misuse-unknown-key", ["train", "--config", str(unknown_key),
