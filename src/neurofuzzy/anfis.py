@@ -64,6 +64,12 @@ __all__ = [
 ]
 
 MODEL_FORMAT_VERSION = 1          # of every model file kind; model_io checks it
+# scoring blocks (_member_outputs): values per (C, rows, R) temporary, and
+# the multiple of rows each block starts on, which keeps one pass's bytes
+# on the GEMM row panels of OpenBLAS 0.3.31's SkylakeX kernels, where it
+# was found; other BLAS kernels may split rows otherwise
+BLOCK_VALUES = 2**14
+BLOCK_ALIGN = 24
 
 
 @dataclass
@@ -150,7 +156,7 @@ class AnfisModel:
         closeness of y to each class value, -|y - (k + 1)|, which
         preserves the rounding decision's ordering.
         """
-        y, _, _, _, _ = _forward_batch(self, X)
+        y = _member_outputs([self], X)[:, 0]
         return decode_values(y), -np.abs(y[:, None] - (np.arange(4)[None, :] + 1.0))
 
     def to_dict(self):
@@ -204,11 +210,13 @@ class AnfisEnsemble:
                 != [("binary", k) for k in range(4)]):
             raise ValueError("one-against-all needs four binary members, "
                              "member k with positive_class k")
+        if len({(m.mf_shape, m.mfs_per_input, m.input_dim) for m in self.members}) > 1:
+            raise ValueError("one-against-all members must share one rule grid")
 
     def classify(self, X):
         """(argmax of the member scores, each member's raw outputs (n, 4));
         ties go to the lower class index."""
-        scores = np.column_stack([_forward_batch(m, X)[0] for m in self.members])
+        scores = _member_outputs(self.members, X)
         return np.argmax(scores, axis=1), scores
 
     def to_dict(self):
@@ -262,12 +270,16 @@ def _firing(D):
     return grid
 
 
+def _check_inputs(model, X):
+    if X.ndim != 2 or X.shape[1] != model.input_dim:
+        raise ValueError(f"expected (n, {model.input_dim}) inputs, got {X.shape}")
+
+
 def _layers(model, P, X, grads=False):
     """(D, dD, W, S, Wbar, degenerate) of premises P on the rows of X:
     dD (K, C, d, M, g) only with ``grads``, totals S (C, g) zero on the
     ``degenerate`` rows."""
-    if X.ndim != 2 or X.shape[1] != model.input_dim:
-        raise ValueError(f"expected (n, {model.input_dim}) inputs, got {X.shape}")
+    _check_inputs(model, X)
     bank = MF_SHAPES[model.mf_shape].bank(P)
     x = np.ascontiguousarray(X.T)[None, :, None, :]
     D, dD = bank.degree_and_param_grads(x) if grads else (bank.degree(x), None)
@@ -285,7 +297,7 @@ def _layers(model, P, X, grads=False):
 
 def _outputs(X, consequents, Wbar):
     """(F, y) of the members with consequents (C, R, d + 1)."""
-    X1 = np.hstack([np.ones((X.shape[0], 1)), X])
+    X1 = np.concatenate([np.ones((X.shape[0], 1)), X], axis=1)
     F = X1 @ np.swapaxes(consequents, -1, -2)
     return F, (Wbar * F).sum(axis=-1)
 
@@ -297,6 +309,33 @@ def _forward_batch(model, X):
     _, _, W, _, Wbar, degenerate = _layers(model, P[None], X)
     F, y = _outputs(X, model.consequents[None], Wbar)
     return y[0], W[0], Wbar[0], F[0], degenerate[0]
+
+
+def _member_outputs(members, X):
+    """Outputs (n, C) of members sharing a rule grid on the rows of X, in
+    blocks of a multiple of ``BLOCK_ALIGN`` rows whose (C, rows, R)
+    temporaries hold ``BLOCK_VALUES`` float64s, 128 KiB, where R allows:
+    under glibc's default mmap threshold, so they are not page-faulted in
+    on every call.  The layers work row by row but for the consequent GEMM,
+    whose bytes depend on a row's place among BLAS's row panels; aligned
+    block starts, and a 1-row tail (which numpy sends to gemv) joined to the
+    block before it, keep the bytes of one pass over all rows under one
+    BLAS thread; not a gbell b of exactly 2 or 0.5, which numpy takes as a
+    square or a root only along more than 4,096 rows."""
+    X = np.asarray(X, dtype=float)
+    model, shape, C = members[0], MF_SHAPES[members[0].mf_shape], len(members)
+    _check_inputs(model, X)
+    P = np.array([shape.stack(m.mf_bank) for m in members])
+    consequents = np.array([m.consequents for m in members])
+    rows = max(1, BLOCK_VALUES // (C * model.n_rules) // BLOCK_ALIGN) * BLOCK_ALIGN
+    n = len(X)
+    bounds = [0, *range(rows, n - 1, rows), n]
+    y = np.empty((n, C))
+    for start, stop in zip(bounds, bounds[1:]):
+        block = X[start:stop]
+        Wbar = _layers(model, P, block)[4]
+        y[start:stop] = _outputs(block, consequents, Wbar)[1].T
+    return y
 
 
 @dataclass(frozen=True)
@@ -421,20 +460,22 @@ def _loss_and_grads(model, layers, X, consequents, fold, grads=True):
     if not grads or dD is None:
         return mse, None
     dEdy = 2.0 * counts * r / n
-    # dE/dW_i = dE/dy * (F_i - y) / S, valid only off the fallback rows
+    # dE/dW_i = dE/dy * (F_i - y) / S, valid only off the fallback rows; a
+    # subnormal S overflows it, and the callers refuse the non-finite result
     dEdW = np.zeros_like(W)
-    np.divide(dEdy[..., None] * (F - y[..., None]), S[..., None], out=dEdW,
-              where=~degenerate[..., None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.divide(dEdy[..., None] * (F - y[..., None]), S[..., None], out=dEdW,
+                  where=~degenerate[..., None])
 
-    # dE/dD[j, m] sums dE/dW over the rules that use MF m on input j, the
-    # grid's (C, M^j, M, M^(d-1-j), g) view at m on axis 2, each times the
-    # product of that rule's degrees on the other inputs
-    C, d, M, g = D.shape
-    dEdW = np.ascontiguousarray(np.swapaxes(dEdW, -1, -2))       # (C, R, g)
-    dEdD = np.empty_like(D)
-    for j in range(d):
-        others = _firing(D[:, np.arange(d) != j]).reshape(C, M**j, 1, -1, g)
-        dEdD[:, j] = (dEdW.reshape(C, M**j, M, -1, g) * others).sum(axis=(1, 3))
+        # dE/dD[j, m] sums dE/dW over the rules that use MF m on input j, the
+        # grid's (C, M^j, M, M^(d-1-j), g) view at m on axis 2, each times the
+        # product of that rule's degrees on the other inputs
+        C, d, M, g = D.shape
+        dEdW = np.ascontiguousarray(np.swapaxes(dEdW, -1, -2))   # (C, R, g)
+        dEdD = np.empty_like(D)
+        for j in range(d):
+            others = _firing(D[:, np.arange(d) != j]).reshape(C, M**j, 1, -1, g)
+            dEdD[:, j] = (dEdW.reshape(C, M**j, M, -1, g) * others).sum(axis=(1, 3))
     return mse, np.einsum("kcjmg,cjmg->cjmk", dD, dEdD)
 
 
@@ -536,10 +577,10 @@ def _train(members, train, test, config):
         for member, premises in zip(members, P):
             member.mf_bank = shape.unstack(premises)
 
-    X_test, T_test = _targets(members, test) if test else (None, ())
-    for member, trace, t in zip(members, traces, T_test):
-        y_test = _forward_batch(member, X_test)[0]
-        trace.test_rmse = float(np.sqrt(np.mean((y_test - t) ** 2)))
+    if test:
+        X_test, T_test = _targets(members, test)
+        for trace, y, t in zip(traces, _member_outputs(members, X_test).T, T_test):
+            trace.test_rmse = float(np.sqrt(np.mean((y - t) ** 2)))
     return members, traces
 
 

@@ -79,8 +79,8 @@ class MembershipFunction:
     def bank(cls, P):
         """One function whose fields are the (d, M, 1) columns of ``P``."""
         bank = object.__new__(cls)      # P is from stack: already checked
-        for f, column in zip(dataclasses.fields(cls), np.moveaxis(P, -1, 0)):
-            object.__setattr__(bank, f.name, column[..., None])
+        for k, f in enumerate(dataclasses.fields(cls)):
+            object.__setattr__(bank, f.name, P[..., k:k + 1])
         return bank
 
     @classmethod
@@ -189,8 +189,10 @@ class TwoSidedGaussian(MembershipFunction):
 
     def degree(self, x):
         x = np.asarray(x, dtype=float)
-        left = np.exp(-((x - self.c_left) ** 2) / (2.0 * self.sigma_left**2))
-        right = np.exp(-((x - self.c_right) ** 2) / (2.0 * self.sigma_right**2))
+        # huge parameters give NaN degrees, which anfis refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            left = np.exp(-((x - self.c_left) ** 2) / (2.0 * self.sigma_left**2))
+            right = np.exp(-((x - self.c_right) ** 2) / (2.0 * self.sigma_right**2))
         out = np.where(x < self.c_left, left,
                        np.where(x > self.c_right, right, 1.0))
         # scalar in, scalar out (np.where always builds an array)

@@ -1,7 +1,13 @@
 import copy
+import ctypes
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,7 +30,27 @@ from neurofuzzy.model_io import load_model, model_to_json, save_model
 from hybrid_reference import gathered_firing
 from sugeno_reference import rules, sugeno_infer
 
-DATASET = Path(__file__).resolve().parents[1] / "data" / "ukm_synthetic.csv"
+ROOT = Path(__file__).resolve().parents[1]
+DATASET = ROOT / "data" / "ukm_synthetic.csv"
+ONE_THREAD = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                "MKL_NUM_THREADS")}
+
+
+def openblas_config():
+    """The build and running core of the OpenBLAS bundled with numpy, as
+    OpenBLAS reports them, or "" for any other BLAS."""
+    for lib in (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*"):
+        for name in ("scipy_openblas_get_config64_", "scipy_openblas_get_config"):
+            get = getattr(ctypes.CDLL(str(lib)), name, None)
+            if get is not None:
+                get.restype = ctypes.c_char_p
+                return get().decode()
+    return ""
+
+
+# the BLAS on which anfis.BLOCK_ALIGN was found to keep one pass's GEMM bytes
+BLAS = openblas_config()
+BLOCK_ALIGN_VERIFIED = BLAS.startswith("OpenBLAS 0.3.31") and "SkylakeX" in BLAS.split()
 
 
 def random_model(rng, mf_shape="gbell", input_dim=3, mfs=2):
@@ -296,6 +322,101 @@ class TestFiringGrid:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def scoring_model(shape, M, oaa):
+    """An untrained grid model (gbell's b is exactly 2) or OAA ensemble on 5
+    inputs with random consequents, and its member count."""
+    rng = np.random.default_rng(0)
+    members = [build_grid_model(shape, mfs_per_input=M, output_mode="binary",
+                                positive_class=k) for k in range(4)] if oaa \
+        else [build_grid_model(shape, mfs_per_input=M)]
+    for member in members:
+        member.consequents = rng.normal(size=member.consequents.shape)
+    return (AnfisEnsemble(members) if oaa else members[0]), len(members)
+
+
+def block_rows(C, R):
+    """Rows per scoring block: the largest multiple of ``BLOCK_ALIGN`` whose
+    (C, rows, R) temporaries hold at most ``BLOCK_VALUES`` values, or
+    ``BLOCK_ALIGN``."""
+    fit = anfis.BLOCK_VALUES // (C * R) // anfis.BLOCK_ALIGN * anfis.BLOCK_ALIGN
+    return max(anfis.BLOCK_ALIGN, fit)
+
+
+def block_seam_mismatches():
+    """The (shape, M, oaa, n) cases whose block scores differ, by bytes, from
+    one ``_forward_batch`` pass per member over all rows."""
+    rng = np.random.default_rng(40)
+    mismatches = []
+    for shape, M, oaa in itertools.product(("gbell", "gauss2", "triangular"),
+                                           (2, 3), (True, False)):
+        model, C = scoring_model(shape, M, oaa)
+        members = model.members if oaa else [model]
+        rows = block_rows(C, M**5)
+        for n in (1, rows - 1, rows, rows + 1, 3 * rows + 5):
+            X = rng.uniform(-1.5, 1.5, size=(n, 5))
+            want = np.column_stack([_forward_batch(m, X)[0] for m in members])
+            if anfis._member_outputs(members, X).tobytes() != want.tobytes():
+                mismatches.append((shape, M, oaa, n))
+    return mismatches
+
+
+class TestBlockScoring:
+    """classify scores every member in one pass over bounded row blocks."""
+
+    @pytest.mark.skipif(not BLOCK_ALIGN_VERIFIED, reason="BLOCK_ALIGN is verified "
+                        "only on OpenBLAS 0.3.31's SkylakeX kernels")
+    def test_bytes_equal_one_pass_per_member(self):
+        # how BLAS splits a GEMM's rows among its threads changes its bytes
+        # (at M = 3, one pass over all rows differs between 1 and 2
+        # threads), so the comparison runs under one BLAS thread
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import test_anfis; print(test_anfis.block_seam_mismatches())"],
+            cwd=Path(__file__).parent, capture_output=True, text=True, timeout=600,
+            env={**os.environ, **ONE_THREAD, "PYTHONPATH": str(ROOT / "src")})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.xfail(strict=True, reason="numpy computes a broadcast b of "
+                       "exactly 2 as a square only along more than 4,096 rows")
+    def test_untrained_gbell_bytes_past_4096_rows(self):
+        model, _ = scoring_model("gbell", 2, False)
+        X = np.random.default_rng(42).uniform(-1.5, 1.5, size=(4097, 5))
+        want = _forward_batch(model, X)[0]
+        assert anfis._member_outputs([model], X)[:, 0].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("M", [2, 3])
+    @pytest.mark.parametrize("oaa", [True, False], ids=["oaa", "single"])
+    def test_one_layers_call_per_block(self, oaa, M, monkeypatch):
+        model, C = scoring_model("gauss2", M, oaa)
+        rows = block_rows(C, M**5)
+        calls, layers = [], anfis._layers
+        monkeypatch.setattr(anfis, "_layers", lambda model, P, X, *rest: (
+            calls.append(len(X)) or layers(model, P, X, *rest)))
+        X = np.zeros((3 * rows + 5, 5))
+        for n, blocks in [(3 * rows + 5, [rows, rows, rows, 5]),
+                          (2 * rows + 1, [rows, rows + 1]),    # a 1-row tail joins
+                          (rows, [rows]), (1, [1])]:
+            calls.clear()
+            model.classify(X[:n])
+            assert calls == blocks
+
+    @pytest.mark.parametrize("oaa,M", [(True, 2), (False, 3)],
+                             ids=["oaa-m2", "single-m3"])
+    def test_classify_memory_is_bounded(self, oaa, M):
+        # one pass per member over all 40,300 rows peaked at 42.8 MiB (OAA,
+        # M = 2) and 301 MiB (single, M = 3)
+        model, _ = scoring_model("gauss2", M, oaa)
+        X = np.random.default_rng(41).uniform(0.0, 1.0, size=(40300, 5))
+        tracemalloc.start()
+        try:
+            model.classify(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+
 class TestLse:
     def test_constant_target_exact(self):
         model = build_grid_model("gbell", input_dim=2,
@@ -540,6 +661,10 @@ class TestPremiseGradients:
         with np.errstate(all="ignore"), pytest.raises(NumericError):
             premise_gradient_step(model, X, [1.0], learn_rate=0.01)
         assert model_to_json(model) == before
+        with warnings.catch_warnings():      # and without a numpy warning
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError):
+                premise_gradients(model, X, [1.0])
 
 
 class TestTrainHybrid:

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from neurofuzzy.errors import ModelFormatError, UndefinedKappaError
 from neurofuzzy.mlp import build_mlp
 from neurofuzzy.model_io import load_model, model_to_json
 
+ROOT = Path(__file__).resolve().parents[1]
 LABELS = ["very_low", "low", "middle", "high"]
 # serialized key order, pinned: model files and traces are byte-compared
 ANFIS_TRAINING_KEYS = ["epochs", "learn_rate", "ridge", "seed", "early_stop_rmse"]
@@ -262,6 +267,9 @@ REFUSED_MODELS = {
     "oaa-three-members": lambda: _oaa(list.pop),
     "oaa-member-single": lambda: _oaa(
         lambda members: members[2].update(output_mode="single")),
+    "oaa-members-on-two-grids": lambda: _oaa(
+        lambda members: members.__setitem__(3, build_grid_model(
+            "gbell", output_mode="binary", positive_class=3).to_dict())),
     "anfis-output-mode-bogus": lambda: _edited(
         build_grid_model("gauss2").to_dict(), output_mode="bogus"),
     "anfis-consequent-order-bogus": lambda: _edited(
@@ -326,7 +334,8 @@ class TestEvaluate:
                      "--split", "none"]) == 5
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_overflowing_degrees_exit_4(self, tmp_path, dataset, capsys):
+    @staticmethod
+    def overflowing_model(tmp_path):
         # every parameter is finite, so the file loads, but (x - c)^2
         # overflows and the firing strengths come out NaN
         payload = build_grid_model("gauss2", input_dim=5).to_dict()
@@ -334,10 +343,24 @@ class TestEvaluate:
                                         sigma_right=1e200, c_right=1e200)
         path = tmp_path / "model.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
+        return str(path)
+
+    def test_overflowing_degrees_exit_4(self, tmp_path, dataset, capsys):
         with np.errstate(all="ignore"):
-            assert main(["evaluate", str(path), "--dataset", str(dataset),
-                         "--split", "none"]) == 4
+            assert main(["evaluate", self.overflowing_model(tmp_path), "--dataset",
+                         str(dataset), "--split", "none"]) == 4
         assert "non-finite firing strengths" in capsys.readouterr().err
+
+    def test_overflowing_degrees_print_only_the_error(self, tmp_path, dataset):
+        # as a program, where numpy's RuntimeWarnings would reach stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "neurofuzzy.cli", "evaluate",
+             self.overflowing_model(tmp_path), "--dataset", str(dataset),
+             "--split", "none"], capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+        assert proc.returncode == 4
+        assert proc.stderr == ("error: non-finite firing strengths: "
+                               "a membership degree overflowed\n")
 
     @pytest.mark.parametrize("case", REFUSED_MODELS)
     def test_refused_model_file_exits_5(self, case, tmp_path, dataset, capsys):

@@ -14,6 +14,9 @@ every output under the temporary directory:
 - ``train`` for each of the configs in ``CONFIGS``, then per config
   ``evaluate`` to a file and to stdout and ``roc`` for classes 0..3;
 - ``roc`` to stdout (``--out -``) for one model;
+- ``evaluate`` and ``roc`` with ``--split none`` for the models in
+  ``REPEATED``, on the bundled rows repeated 12 times (4,836 rows, several
+  scoring row blocks for each model);
 - ``compare`` over every config, and ``dataset-stats`` from ``--dataset``
   and from a config whose ``threshold`` is nan, which it does not read;
 - the misuse cases in ``misuse``, which exit 2 to 5 (bad config, a flag
@@ -73,6 +76,8 @@ CONFIGS = {
                          "mfs_per_input": 3, "epochs": 5},
     "oaa-early-stop": {"early_stop": 0.16},
 }
+# models also scored on the bundled rows repeated: an OAA one and two M = 3 ones
+REPEATED = ("oaa", "m3-single", "raw-gbell-m3-oaa")
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
@@ -266,6 +271,16 @@ def run_side(tree, run):
                                    str(out / f"roc{k}.csv")])
     cli("roc0-stdout-oaa", ["roc", str(run / "oaa" / "model.json"), "--config",
                             str(configs["oaa"]), "--class-index", "0", "--out", "-"])
+    lines = dataset.read_text(encoding="utf-8").splitlines(keepends=True)
+    repeated = inp / "repeated.csv"
+    repeated.write_text(lines[0] + "".join(lines[1:]) * 12, encoding="utf-8")
+    for name in REPEATED:
+        model, out = str(run / name / "model.json"), run / name
+        data = ["--config", str(configs[name]), "--dataset", str(repeated),
+                "--split", "none"]
+        cli(f"evaluate-repeated-{name}", ["evaluate", model, *data])
+        cli(f"roc0-repeated-{name}", ["roc", model, *data, "--class-index", "0",
+                                      "--out", str(out / "roc0-repeated.csv")])
     cli("compare", ["compare", *map(str, configs.values()),
                     "--out-dir", str(run / "compare")])
     cli("dataset-stats", ["dataset-stats", "--dataset", str(dataset)])
