@@ -64,7 +64,7 @@ __all__ = [
 ]
 
 MODEL_FORMAT_VERSION = 1          # of every model file kind; model_io checks it
-# scoring blocks (_member_outputs): values per (C, rows, R) temporary, and
+# row blocks (_row_blocks): values per (C, rows, R) temporary, and
 # the multiple of rows each block starts on, which keeps one pass's bytes
 # on the GEMM row panels of OpenBLAS 0.3.31's SkylakeX kernels, where it
 # was found; other BLAS kernels may split rows otherwise
@@ -263,10 +263,11 @@ def build_grid_model(mf_shape, mfs_per_input=2, input_range=(-1.0, 1.0),
 def _firing(D):
     """(..., R, g): the grid of degree products over the inputs, taken in
     input order as outer products, so rule r is cell r."""
-    *lead, d, _, g = D.shape
+    *lead, d, M, g = D.shape
     grid = np.ones((*lead, 1, g))
-    for j in range(d):
-        grid = (grid[..., None, :] * D[..., j, None, :, :]).reshape(*lead, -1, g)
+    for j in range(d):            # no -1 in the shape: g may be 0
+        grid = (grid[..., None, :] * D[..., j, None, :, :]).reshape(
+            *lead, grid.shape[-2] * M, g)
     return grid
 
 
@@ -311,30 +312,34 @@ def _forward_batch(model, X):
     return y[0], W[0], Wbar[0], F[0], degenerate[0]
 
 
+def _row_blocks(n, width):
+    """Slices over n rows, in blocks of a multiple of ``BLOCK_ALIGN`` rows
+    whose (rows, width) temporaries hold ``BLOCK_VALUES`` float64s, 128 KiB,
+    where width allows: under glibc's default mmap threshold, so they are
+    not page-faulted in on every call.  The layers work row by row but for
+    the consequent GEMM, whose bytes depend on a row's place among BLAS's
+    row panels; aligned block starts, and a 1-row tail (which numpy sends to
+    gemv) joined to the block before it, keep the bytes of one pass over all
+    rows under one BLAS thread."""
+    rows = max(1, BLOCK_VALUES // width // BLOCK_ALIGN) * BLOCK_ALIGN
+    bounds = [0, *range(rows, n - 1, rows), n]
+    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
+
+
 def _member_outputs(members, X):
-    """Outputs (n, C) of members sharing a rule grid on the rows of X, in
-    blocks of a multiple of ``BLOCK_ALIGN`` rows whose (C, rows, R)
-    temporaries hold ``BLOCK_VALUES`` float64s, 128 KiB, where R allows:
-    under glibc's default mmap threshold, so they are not page-faulted in
-    on every call.  The layers work row by row but for the consequent GEMM,
-    whose bytes depend on a row's place among BLAS's row panels; aligned
-    block starts, and a 1-row tail (which numpy sends to gemv) joined to the
-    block before it, keep the bytes of one pass over all rows under one
-    BLAS thread; not a gbell b of exactly 2 or 0.5, which numpy takes as a
-    square or a root only along more than 4,096 rows."""
+    """Outputs (n, C) of members sharing a rule grid on the rows of X, one
+    ``_layers`` and ``_outputs`` call per row block, with one pass's bytes
+    (``_row_blocks``); not a gbell b of exactly 2 or 0.5, which numpy takes
+    as a square or a root only along more than 4,096 rows."""
     X = np.asarray(X, dtype=float)
     model, shape, C = members[0], MF_SHAPES[members[0].mf_shape], len(members)
     _check_inputs(model, X)
     P = np.array([shape.stack(m.mf_bank) for m in members])
     consequents = np.array([m.consequents for m in members])
-    rows = max(1, BLOCK_VALUES // (C * model.n_rules) // BLOCK_ALIGN) * BLOCK_ALIGN
-    n = len(X)
-    bounds = [0, *range(rows, n - 1, rows), n]
-    y = np.empty((n, C))
-    for start, stop in zip(bounds, bounds[1:]):
-        block = X[start:stop]
-        Wbar = _layers(model, P, block)[4]
-        y[start:stop] = _outputs(block, consequents, Wbar)[1].T
+    y = np.empty((len(X), C))
+    for b in _row_blocks(len(X), C * model.n_rules):
+        Wbar = _layers(model, P, X[b])[4]
+        y[b] = _outputs(X[b], consequents, Wbar)[1].T
     return y
 
 
@@ -451,31 +456,43 @@ def lse_consequents(model, X, targets, ridge=1e-8, *, counts=None,
 
 def _loss_and_grads(model, layers, X, consequents, fold, grads=True):
     """Mean squared error (C,) over the rows the folded X stand for, and
-    its gradient in P if ``grads`` and ``layers`` has dD, else None."""
-    D, dD, W, S, Wbar, degenerate = layers
-    F, y = _outputs(X, consequents, Wbar)
+    its gradient in P if ``grads`` and ``layers`` has dD, else None.  The
+    outputs and dE/dD are built in the scoring row blocks (``_row_blocks``),
+    so no (C, g, R) temporary spans all rows; the sums over rows run once
+    over all of them, so the bytes are one pass's."""
+    D, dD, _, S, Wbar, degenerate = layers
     counts, means, within_ss = fold
-    n, r = counts.sum(), y - means
-    mse = (np.sum(counts * r**2, axis=-1) + within_ss) / n
-    if not grads or dD is None:
-        return mse, None
-    dEdy = 2.0 * counts * r / n
-    # dE/dW_i = dE/dy * (F_i - y) / S, valid only off the fallback rows; a
-    # subnormal S overflows it, and the callers refuse the non-finite result
-    dEdW = np.zeros_like(W)
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.divide(dEdy[..., None] * (F - y[..., None]), S[..., None], out=dEdW,
-                  where=~degenerate[..., None])
+    C, d, M, g = D.shape
+    grads = grads and dD is not None
+    n = counts.sum()
+    y = np.empty((C, g))
+    dEdD = np.empty_like(D) if grads else None
+    for b in _row_blocks(g, C * model.n_rules):
+        F, y[:, b] = _outputs(X[b], consequents, Wbar[:, b])
+        if not grads:
+            continue
+        dEdy = 2.0 * counts[b] * (y[:, b] - means[:, b]) / n
+        # dE/dW_i = dE/dy * (F_i - y) / S, valid only off the fallback rows; a
+        # subnormal S overflows it, and the callers refuse the non-finite result
+        dEdW = np.zeros_like(F)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.divide(dEdy[..., None] * (F - y[:, b, None]), S[:, b, None],
+                      out=dEdW, where=~degenerate[:, b, None])
 
-        # dE/dD[j, m] sums dE/dW over the rules that use MF m on input j, the
-        # grid's (C, M^j, M, M^(d-1-j), g) view at m on axis 2, each times the
-        # product of that rule's degrees on the other inputs
-        C, d, M, g = D.shape
-        dEdW = np.ascontiguousarray(np.swapaxes(dEdW, -1, -2))   # (C, R, g)
-        dEdD = np.empty_like(D)
-        for j in range(d):
-            others = _firing(D[:, np.arange(d) != j]).reshape(C, M**j, 1, -1, g)
-            dEdD[:, j] = (dEdW.reshape(C, M**j, M, -1, g) * others).sum(axis=(1, 3))
+            # dE/dD[j, m] sums dE/dW over the rules that use MF m on input j,
+            # the grid's (C, M^j, M, M^(d-1-j), rows) view at m on axis 2, each
+            # times the product of that rule's degrees on the other inputs
+            dEdW = np.ascontiguousarray(np.swapaxes(dEdW, -1, -2))   # (C, R, rows)
+            Db = np.ascontiguousarray(D[..., b])   # so its masked copies are too
+            rows = Db.shape[-1]
+            for j in range(d):
+                others = _firing(Db[:, np.arange(d) != j]).reshape(C, M**j, 1, -1, rows)
+                dEdD[:, j, :, b] = (dEdW.reshape(C, M**j, M, -1, rows)
+                                    * others).sum(axis=(1, 3))
+    r = y - means
+    mse = (np.sum(counts * r**2, axis=-1) + within_ss) / n
+    if not grads:
+        return mse, None
     return mse, np.einsum("kcjmg,cjmg->cjmk", dD, dEdD)
 
 
@@ -563,7 +580,10 @@ def _train(members, train, test, config):
         if shape.trainable:
             _, grads = _loss_and_grads(model, layers, rows, consequents, fold)
             P[live] = _stepped(shape, P[live], grads[live], config.learn_rate)
-            # one pass serves this epoch's RMSE, the next one's solve and gradient
+            # one pass serves this epoch's RMSE, the next one's solve and
+            # gradient; the old layers go first, or both sets would be held
+            # at once, which would set training's peak memory
+            layers = None
             layers = _layers(model, P, rows, True)
         rmse = np.sqrt(_loss_and_grads(model, layers, rows, consequents, fold, False)[0])
         for c in live:

@@ -27,6 +27,7 @@ from neurofuzzy.data import Dataset
 from neurofuzzy.errors import ModelFormatError, NumericError
 from neurofuzzy.fuzzy import MF_SHAPES
 from neurofuzzy.model_io import load_model, model_to_json, save_model
+from neurofuzzy.mlp import build_mlp
 from hybrid_reference import gathered_firing
 from sugeno_reference import rules, sugeno_infer
 
@@ -281,20 +282,35 @@ class TestFiringGrid:
         layers = anfis._layers(model, P, rows, True)
         consequents = rng.normal(size=(C, model.n_rules, d + 1))
         _, got = anfis._loss_and_grads(model, layers, rows, consequents, fold)
-
-        D, dD, W, S, Wbar, degenerate = layers
-        counts, means, _ = fold
-        F, y = anfis._outputs(rows, consequents, Wbar)
-        dEdy = 2.0 * counts * (y - means) / counts.sum()
-        dEdW = np.zeros_like(W)
-        np.divide(dEdy[..., None] * (F - y[..., None]), S[..., None], out=dEdW,
-                  where=~degenerate[..., None])
-        dEdW = np.swapaxes(dEdW, -1, -2)
-        onehot = np.eye(M)[model.antecedents.T]
-        dEdD = np.stack([onehot[j].T @ (dEdW * gathered_firing(model, D, skip=j))
-                         for j in range(d)], axis=1)
-        want = np.einsum("kcjmg,cjmg->cjmk", dD, dEdD)
+        want = one_pass_premise_gradient(model, layers, rows, consequents, fold)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.skipif(not BLOCK_ALIGN_VERIFIED, reason="BLOCK_ALIGN is verified "
+                        "only on OpenBLAS 0.3.31's SkylakeX kernels")
+    def test_premise_gradient_bytes_across_block_seams(self):
+        # one BLAS thread, as for the block scores: the rule values' GEMM
+        # rounds a row by its place among the threads' row panels
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import test_anfis; print(test_anfis.gradient_seam_mismatches())"],
+            cwd=Path(__file__).parent, capture_output=True, text=True, timeout=600,
+            env={**os.environ, **ONE_THREAD, "PYTHONPATH": str(ROOT / "src")})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("C,M", [(1, 3), (4, 2)])
+    def test_loss_and_grads_run_in_the_row_blocks(self, C, M, monkeypatch):
+        rows = block_rows(C, M**5)
+        calls, outputs = [], anfis._outputs
+        monkeypatch.setattr(anfis, "_outputs", lambda X, *rest: (
+            calls.append(len(X)) or outputs(X, *rest)))
+        for n, blocks in [(3 * rows + 5, [rows, rows, rows, 5]),
+                          (2 * rows + 1, [rows, rows + 1])]:
+            model, X, consequents, fold, layers = gradient_case("gauss2", C, M, n)
+            for grads in (True, False):
+                calls.clear()
+                anfis._loss_and_grads(model, layers, X, consequents, fold, grads)
+                assert calls == blocks
 
     @pytest.mark.parametrize("M,d", [(2, 1), (2, 5), (3, 2), (4, 3)])
     def test_antecedents_are_the_grid_in_product_order(self, M, d):
@@ -320,6 +336,56 @@ class TestFiringGrid:
         assert main(["evaluate", str(path), "--dataset", str(DATASET),
                      "--split", "none"]) == 5
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def one_pass_premise_gradient(model, layers, rows, consequents, fold):
+    """The premise gradient in one pass over all rows, its rule sums a
+    one-hot matmul over the gathered leave-one-input-out products."""
+    D, dD, W, S, Wbar, degenerate = layers
+    counts, means, _ = fold
+    F, y = anfis._outputs(rows, consequents, Wbar)
+    dEdy = 2.0 * counts * (y - means) / counts.sum()
+    dEdW = np.zeros_like(W)
+    np.divide(dEdy[..., None] * (F - y[..., None]), S[..., None], out=dEdW,
+              where=~degenerate[..., None])
+    dEdW = np.swapaxes(dEdW, -1, -2)
+    onehot = np.eye(model.mfs_per_input)[model.antecedents.T]
+    dEdD = np.stack([onehot[j].T @ (dEdW * gathered_firing(model, D, skip=j))
+                     for j in range(model.input_dim)], axis=1)
+    return np.einsum("kcjmg,cjmg->cjmk", dD, dEdD)
+
+
+def gradient_case(shape, C, M, n):
+    """(model, folded rows, consequents, fold, layers) of C jittered members
+    on n distinct rows in 5 inputs, two of them far out (tiny products; on
+    gauss2 the row of 40s underflows to the fallback)."""
+    rng = np.random.default_rng(300 + n + 10 * C + M)
+    model = build_grid_model(shape, mfs_per_input=M)
+    bank = MF_SHAPES[shape]
+    P = bank.stack(model.mf_bank)
+    P = bank.repair(P * rng.uniform(0.8, 1.2, size=(C,) + P.shape))
+    X = rng.uniform(-1.0, 1.0, size=(n, 5))
+    X[:2] = [[40.0], [3.0]]
+    rows, *fold = anfis._fold_rows(X, rng.normal(size=(C, n)))
+    assert len(rows) == n
+    consequents = rng.normal(size=(C, model.n_rules, 6))
+    return model, rows, consequents, fold, anfis._layers(model, P, rows, True)
+
+
+def gradient_seam_mismatches():
+    """The (shape, C, M, n) cases whose premise gradient from the row blocks
+    differs, by bytes, from one pass over n folded rows: rows spanning three
+    blocks and a tail, and rows ending in a 1-row tail."""
+    mismatches = []
+    for shape, C, M in itertools.product(("gbell", "gauss2"), (1, 4), (2, 3)):
+        rows = block_rows(C, M**5)
+        for n in (3 * rows + 5, 2 * rows + 1):
+            model, X, consequents, fold, layers = gradient_case(shape, C, M, n)
+            _, got = anfis._loss_and_grads(model, layers, X, consequents, fold)
+            want = one_pass_premise_gradient(model, layers, X, consequents, fold)
+            if got.tobytes() != want.tobytes():
+                mismatches.append((shape, C, M, n))
+    return mismatches
 
 
 def scoring_model(shape, M, oaa):
@@ -415,6 +481,28 @@ class TestBlockScoring:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+    def test_training_memory_is_bounded(self):
+        # one pass over all rows, holding two sets of layers while the next
+        # epoch's were built, peaked at 32.2e6 bytes
+        rng = np.random.default_rng(43)
+        train = Dataset(rng.uniform(0.0, 1.0, size=(4030, 5)), rng.integers(0, 4, 4030))
+        proto = build_grid_model("gauss2", input_range=(0.0, 1.0))
+        tracemalloc.start()
+        try:
+            train_oaa(proto, train, None, TrainingConfig(epochs=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
+
+    @pytest.mark.parametrize("kind,M", [("single", 2), ("single", 3), ("oaa", 2),
+                                        ("oaa", 3), ("mlp", None)])
+    def test_zero_rows_classify_to_empty_arrays(self, kind, M):
+        model = build_mlp() if kind == "mlp" else \
+            scoring_model("gauss2", M, kind == "oaa")[0]
+        decisions, scores = model.classify(np.empty((0, 5)))
+        assert decisions.shape == (0,) and scores.shape == (0, 4)
 
 
 class TestLse:

@@ -1,5 +1,6 @@
-"""Each script under ``tools/`` starts and prints its help, and the
-output contract's file comparison gives its verdicts on fixed bytes.
+"""Each script under ``tools/`` starts and prints its help, the output
+contract's file comparison gives its verdicts on fixed bytes, and the
+paired benchmark's summaries, which decide every claim, hold on fixed runs.
 
 The tools share helpers by import, so a broken shared name shows up
 here rather than at the start of a long benchmark run.
@@ -15,7 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
 TOOLS = sorted((ROOT / "tools").glob("*.py"))
 sys.path.insert(0, str(ROOT / "tools"))
 
-from output_contract import difference  # noqa: E402  (needs tools/ on the path)
+from bench_pairs import compare, stats  # noqa: E402  (needs tools/ on the path)
+from output_contract import difference  # noqa: E402
 
 
 @pytest.mark.parametrize("tool", TOOLS, ids=[t.name for t in TOOLS])
@@ -41,3 +43,30 @@ def test_tool_prints_help(tool):
         "extra-number", "masked-text-equal", "not-utf8"])
 def test_output_contract_difference(parent, change, verdict):
     assert difference(parent, change) == verdict
+
+
+def test_bench_pairs_stats():
+    # statistics.quantiles' default (exclusive) quartiles of 1..5
+    assert stats([5.0, 1.0, 4.0, 2.0, 3.0]) == {
+        "median": 3.0, "q1": 1.5, "q3": 4.5, "iqr_over_median": 1.0}
+    assert stats([0.0, 0.0, 0.0])["iqr_over_median"] == 0.0
+
+
+@pytest.mark.parametrize("better, change, worse_by, won", [
+    # lower is better: a higher change median is worse, so positive
+    ("lower", [1.0, 5.0, 6.0, 9.0], 0.5 / 5.0, 1),
+    ("lower", [1.0, 3.0, 6.0, 7.0], -0.5 / 5.0, 3),
+    # higher is better: a lower change median is worse, so positive
+    ("higher", [1.0, 3.0, 6.0, 7.0], 0.5 / 5.0, 0),
+    ("higher", [3.0, 5.0, 6.0, 7.0], -0.5 / 5.0, 2),
+], ids=["lower-worse", "lower-better", "higher-worse", "higher-better"])
+def test_bench_pairs_compare(better, change, worse_by, won):
+    # the third pair is tied (6.0 against 6.0): it counts for neither side
+    parent = [2.0, 4.0, 6.0, 8.0]
+    spec = {"name": "m", "unit": "s", "better": better, "bound": 0.25}
+    got = compare(spec, parent, change)
+    assert got["change_worse_by"] == pytest.approx(worse_by, rel=1e-12)
+    assert (got["change_better_pairs"], got["tied_pairs"]) == (won, 1)
+    assert (got["unit"], got["better"], got["bound"]) == ("s", better, 0.25)
+    assert got["parent"] == stats(parent) and got["change"] == stats(change)
+    assert (got["parent_runs"], got["change_runs"]) == (parent, change)
