@@ -329,8 +329,7 @@ def _row_blocks(n, width):
 def _member_outputs(members, X):
     """Outputs (n, C) of members sharing a rule grid on the rows of X, one
     ``_layers`` and ``_outputs`` call per row block, with one pass's bytes
-    (``_row_blocks``); not a gbell b of exactly 2 or 0.5, which numpy takes
-    as a square or a root only along more than 4,096 rows."""
+    (``_row_blocks``)."""
     X = np.asarray(X, dtype=float)
     model, shape, C = members[0], MF_SHAPES[members[0].mf_shape], len(members)
     _check_inputs(model, X)

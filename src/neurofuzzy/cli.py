@@ -2,9 +2,11 @@
 
 A run is described by a flat key=value config file; a command takes the
 keys it reads as command-line flags too, and flags win.  Every
-command is deterministic given (config, seed): repeated runs write
-byte-identical model files, reports, and curves.  No command mutates
-its inputs.
+command is deterministic given (config, seed) at a fixed BLAS thread
+count: repeated runs write byte-identical model files, reports, and
+curves.  With 3 functions per input, OpenBLAS rounds each row of the
+rule-output GEMM by how it splits the rows among its threads, so runs
+under 1 and 2 threads differ.  No command mutates its inputs.
 
 Exit codes: 0 success, 2 bad config or arguments, 3 data load/split
 error, 4 numeric failure, 5 model file/format error.
@@ -15,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import make_dataclass
+import types
 from importlib import resources
 from pathlib import Path
 
@@ -32,7 +34,7 @@ from .metrics import auc, cap_consistent, evaluate_multiclass, roc_curve, roc_to
 from .mlp import MlpTrainingConfig, build_mlp, train_backprop
 from .model_io import load_model, model_to_json
 
-__all__ = ["RunConfig", "read_config_file", "build_run_config", "main"]
+__all__ = ["read_config_file", "build_run_config", "main"]
 
 # key: (type converter, default, allowed values or None, help)
 CONFIG_SCHEMA = {
@@ -72,11 +74,6 @@ SELECTION_KEYS = DATA_KEYS + ("encoding", "threshold", "split", "ratio", "seed",
                               "folds", "fold", "train_count")
 
 
-RunConfig = make_dataclass(
-    "RunConfig", [(key, entry[0]) for key, entry in CONFIG_SCHEMA.items()])
-RunConfig.__module__ = __name__      # make_dataclass leaves it as "types"
-
-
 def _convert(key, raw):
     conv, _, allowed, _ = CONFIG_SCHEMA[key]
     try:
@@ -112,7 +109,8 @@ def read_config_file(path):
 
 
 def build_run_config(config_path=None, overrides=None):
-    """Defaults, then the file, then explicit flag overrides; flags win."""
+    """Defaults, then the file, then explicit flag overrides; flags win.
+    The keys of ``CONFIG_SCHEMA`` are the result's attributes."""
     merged = {key: entry[1] for key, entry in CONFIG_SCHEMA.items()}
     if config_path is not None:
         merged.update(read_config_file(config_path))
@@ -121,7 +119,7 @@ def build_run_config(config_path=None, overrides=None):
             merged[key] = _convert(key, value)
     if not merged["dataset"]:
         raise ConfigError("no dataset configured (set dataset= or --dataset)")
-    return RunConfig(**merged)
+    return types.SimpleNamespace(**merged)
 
 
 def _overrides_from_args(args):

@@ -123,9 +123,10 @@ class GeneralizedBell(MembershipFunction):
 
     def degree(self, x):
         t = ((np.asarray(x, dtype=float) - self.c) / self.a) ** 2
+        # numpy takes a stride-0 b of exactly 2 or 0.5 as a square or a root
+        # past 4,096 values; b copied to t's shape takes one path at every n
         with np.errstate(over="ignore"):
-            u = t**self.b
-        return 1.0 / (1.0 + u)
+            return 1.0 / (1.0 + t ** np.broadcast_to(self.b, t.shape).copy())
 
     def degree_and_param_grads(self, x):
         """Degree plus d(degree)/d(a, b, c), each shaped like the degree.
@@ -134,11 +135,9 @@ class GeneralizedBell(MembershipFunction):
         power overflows.
         """
         x = np.asarray(x, dtype=float)
+        mu = self.degree(x)
         d = x - self.c
         t = (d / self.a) ** 2
-        with np.errstate(over="ignore"):
-            u = t**self.b
-        mu = 1.0 / (1.0 + u)
         core = mu * (1.0 - mu)
 
         g_a = 2.0 * self.b * core / self.a

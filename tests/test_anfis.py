@@ -443,8 +443,6 @@ class TestBlockScoring:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    @pytest.mark.xfail(strict=True, reason="numpy computes a broadcast b of "
-                       "exactly 2 as a square only along more than 4,096 rows")
     def test_untrained_gbell_bytes_past_4096_rows(self):
         model, _ = scoring_model("gbell", 2, False)
         X = np.random.default_rng(42).uniform(-1.5, 1.5, size=(4097, 5))
@@ -625,6 +623,17 @@ class TestLse:
             X[1, 0] = np.nan if bad == "nan_input" else np.inf
         with pytest.raises(NumericError):
             lse_consequents(model, X, t)
+
+    def test_non_finite_solution_refused(self):
+        # finite rows this large overflow the ridge solve; ridge=0 solves them
+        X = np.array([[.1, .2], [.3, -.4], [.5, .6], [-.2, .1], [.7, .9]]) * 1e155
+        t = np.array([1.0, 2.0, 3.0, 4.0, 1.0])
+        model = build_grid_model("gauss2", 2, input_dim=2)
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericError, match="solve produced non-finite values"):
+            lse_consequents(model, X, t, ridge=1e-8)
+        assert not model.consequents.any()
+        assert math.isfinite(lse_consequents(model, X, t, ridge=0.0))
 
 
 class TestPremiseGradients:

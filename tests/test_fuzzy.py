@@ -39,6 +39,38 @@ class TestGeneralizedBell:
         assert 0.0 <= GeneralizedBell(a=a, b=b, c=c).degree(x) <= 1.0
 
 
+@pytest.mark.parametrize("n", [4097, 40300])
+@pytest.mark.parametrize("b", [2.0, 0.5])
+class TestBellBank:
+    """A bell's degree for a row keeps its bytes whatever rows share the call:
+    numpy takes a b of exactly 2 as a square where it is a scalar, or where
+    it is broadcast along more than 4,096 values."""
+
+    def rows_and_slices(self, b, n):
+        """Parameters and bank of a 5 x 2 grid of bells with slope ``b``,
+        rows (5, 1, n), and the bank's degrees and gradients computed 24
+        rows at a time."""
+        P = GeneralizedBell.stack([GeneralizedBell.grid(-1.0, 1.0, 2)] * 5)
+        P[..., 1] = b
+        bank = GeneralizedBell.bank(P)
+        x = np.random.default_rng(43).uniform(-1.5, 1.5, size=(5, 1, n))
+        parts = [bank.degree_and_param_grads(x[..., s:s + 24]) for s in range(0, n, 24)]
+        return P, bank, x, *(np.concatenate(p, axis=-1) for p in zip(*parts))
+
+    def test_bytes_equal_24_row_slices(self, b, n):
+        _, bank, x, mu, grads = self.rows_and_slices(b, n)
+        assert bank.degree(x).tobytes() == mu.tobytes()
+        got_mu, got_grads = bank.degree_and_param_grads(x)
+        assert got_mu.tobytes() == mu.tobytes()
+        assert got_grads.tobytes() == grads.tobytes()
+
+    def test_records_equal_bank_rows(self, b, n):
+        P, _, x, mu, _ = self.rows_and_slices(b, n)
+        for i, row in enumerate(GeneralizedBell.unstack(P)):
+            for m, mf in enumerate(row):
+                assert mf.degree(x[i, 0]).tobytes() == mu[i, m].tobytes()
+
+
 class TestTwoSidedGaussian:
     def mf(self):
         return TwoSidedGaussian(sigma_left=1, c_left=-0.5,
