@@ -442,15 +442,17 @@ def lse_consequents(model, X, targets, ridge=1e-8, *, counts=None,
     weight = np.sqrt(counts)
     A = _design_matrix(model, Wbar, X, weight)
     b = targets * weight
-    solution = _ridge_solve(A, b, ridge)
-    if not np.all(np.isfinite(solution)):
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below instead
+        solution = _ridge_solve(A, b, ridge)
+        residual = A @ solution - b
+        rmse = np.sqrt((residual @ residual + within_ss) / np.sum(counts))
+    if not (np.all(np.isfinite(solution)) and np.isfinite(rmse)):
         raise NumericError("consequent solve produced non-finite values")
 
     solved = solution.reshape(model.n_rules, -1)
     model.consequents = np.zeros((model.n_rules, model.input_dim + 1))
     model.consequents[:, :solved.shape[1]] = solved
-    residual = A @ solution - b
-    return float(np.sqrt((residual @ residual + within_ss) / np.sum(counts)))
+    return float(rmse)
 
 
 def _loss_and_grads(model, layers, X, consequents, fold, grads=True):

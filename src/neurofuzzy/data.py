@@ -28,6 +28,7 @@ file.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 import warnings
@@ -120,15 +121,17 @@ def load_dataset(path):
     path = Path(path)
     if not path.is_file():
         raise DataLoadError(f"dataset file not found: {path}")
+    raw = path.read_bytes()
     try:
-        return _parse(path)
-    except UnicodeDecodeError as exc:   # either path; its offset is within a read chunk
+        raw.decode("utf-8")                 # whole, so no row fault comes first
+    except UnicodeDecodeError as exc:
         raise DataLoadError(f"{path}: not UTF-8 text ({exc.reason}, "
-                            f"byte 0x{exc.object[exc.start]:02x})") from None
+                            f"byte 0x{raw[exc.start]:02x})") from None
+    return _parse(path, raw)
 
 
-def _parse(path):
-    with path.open(newline="", encoding="utf-8") as fh:
+def _parse(path, raw):
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="") as fh:
         reader = csv.reader(iter(fh.readline, ""))    # leaves fh.tell() usable
         try:
             header = next(reader)
@@ -150,7 +153,7 @@ def _parse(path):
         label_idx = positions[LABEL_COLUMN]
 
         start = fh.tell()
-        dataset = _read_columns(path, fh, [i for _, i in columns] + [label_idx])
+        dataset = _read_columns(raw, fh, [i for _, i in columns] + [label_idx])
         if dataset is not None:
             return dataset
         fh.seek(start)
@@ -192,9 +195,9 @@ def _numbered(path, reader):
         raise DataLoadError(f"{path}: data row {row_no + 1}: {exc}") from None
 
 
-def _read_columns(path, fh, usecols):
+def _read_columns(raw, fh, usecols):
     """The rest of ``fh`` in one ``loadtxt`` pass; None unless it is the loop's."""
-    raw, limit = path.read_bytes(), csv.field_size_limit()
+    limit = csv.field_size_limit()
     # the loop's csv reader refuses a longer field; unquoted, a field is within a line
     if len(raw) > limit and (b'"' in raw or np.diff(np.flatnonzero(np.frombuffer(
             raw, np.uint8) == 10), prepend=-1, append=len(raw)).max() > limit):

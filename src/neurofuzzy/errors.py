@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these onto stable exit codes, so new failure modes should
-reuse one of the classes below rather than raising bare ValueErrors.
+A fault in a run configuration, a data file, a split, the numerics or a
+model file raises one of the classes below, which the CLI maps onto
+stable exit codes.  An argument out of range raises a plain ValueError,
+which the CLI maps to exit 2, as it does ConfigError.
 """
 
 

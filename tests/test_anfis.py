@@ -624,16 +624,26 @@ class TestLse:
         with pytest.raises(NumericError):
             lse_consequents(model, X, t)
 
+    @pytest.mark.filterwarnings("error")     # refused, with no numpy warning
     def test_non_finite_solution_refused(self):
         # finite rows this large overflow the ridge solve; ridge=0 solves them
         X = np.array([[.1, .2], [.3, -.4], [.5, .6], [-.2, .1], [.7, .9]]) * 1e155
         t = np.array([1.0, 2.0, 3.0, 4.0, 1.0])
         model = build_grid_model("gauss2", 2, input_dim=2)
-        with np.errstate(all="ignore"), pytest.raises(
-                NumericError, match="solve produced non-finite values"):
+        with pytest.raises(NumericError, match="solve produced non-finite values"):
             lse_consequents(model, X, t, ridge=1e-8)
         assert not model.consequents.any()
         assert math.isfinite(lse_consequents(model, X, t, ridge=0.0))
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_residual_refused(self):
+        # the solve is finite, but the residual's square overflows
+        X = np.array([[.1, .2], [.3, -.4], [.5, .6], [-.2, .1]])
+        t = np.array([1.0, 2.0, 3.0, 4.0]) * 1e160
+        model = build_grid_model("gauss2", 2, input_dim=2)
+        with pytest.raises(NumericError, match="solve produced non-finite values"):
+            lse_consequents(model, X, t, ridge=1e-8)
+        assert not model.consequents.any()
 
 
 class TestPremiseGradients:

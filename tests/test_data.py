@@ -274,7 +274,10 @@ class TestLoadPaths:
         # past the text reader's first chunk, a sequence cut off at the end
         (HEADER.encode() + (ROW + "\r").encode() * 2000 + b"0.1,0.2,0.3,0.4,0.5,\xc3",
          0xc3, "unexpected end of data"),
-    ], ids=["label", "header", "far-into-file"])
+        # a row fault in the text reader's first chunk, the bad byte past it
+        (HEADER.encode() + b"0.1,abc,0.3,0.4,0.5,low\n" + (ROW + "\n").encode() * 400
+         + b"0.1,0.2,0.3,0.4,0.5,l\xffow\n", 0xff, "invalid start byte"),
+    ], ids=["label", "header", "far-into-file", "after-a-row-fault"])
     def test_bytes_not_utf8_are_a_load_error(self, tmp_path, raw, byte, reason):
         path = tmp_path / "d.csv"
         path.write_bytes(raw)

@@ -1,11 +1,13 @@
 """Each script under ``tools/`` starts and prints its help, the output
 contract's file comparison gives its verdicts on fixed bytes, and the
-paired benchmark's summaries, which decide every claim, hold on fixed runs.
+paired benchmark runs the plan ``BENCHMARK.json`` states and its
+summaries, which decide every claim, hold on fixed runs.
 
 The tools share helpers by import, so a broken shared name shows up
 here rather than at the start of a long benchmark run.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +18,8 @@ ROOT = Path(__file__).resolve().parent.parent
 TOOLS = sorted((ROOT / "tools").glob("*.py"))
 sys.path.insert(0, str(ROOT / "tools"))
 
-from bench_pairs import compare, stats  # noqa: E402  (needs tools/ on the path)
+import bench_pairs  # noqa: E402  (needs tools/ on the path)
+from bench_pairs import compare, stats  # noqa: E402
 from output_contract import difference  # noqa: E402
 
 
@@ -70,3 +73,27 @@ def test_bench_pairs_compare(better, change, worse_by, won):
     assert (got["unit"], got["better"], got["bound"]) == ("s", better, 0.25)
     assert got["parent"] == stats(parent) and got["change"] == stats(change)
     assert (got["parent_runs"], got["change_runs"]) == (parent, change)
+
+
+def test_bench_pairs_runs_the_declared_plan(tmp_path, monkeypatch):
+    # one workload and a run length that no constant in the tool holds
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 7, "workloads": [{"name": "only"}],
+        "end_to_end": [{"name": "m", "unit": "s", "better": "lower",
+                        "bound": 0.25}]}))
+    runs = []
+
+    def bench(tree, workload, seed, seconds, trace=0):
+        runs.append((workload, seconds))
+        return {}, "run", {"attempted": 1, "failed": 0, "correct": True,
+                           "metrics": {"m": {"value": 1.0}}}
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: dest)
+    monkeypatch.setattr(bench_pairs, "snapshot", lambda dest: dest)
+    monkeypatch.setattr(bench_pairs, "bench", bench)
+    assert bench_pairs.main(["--parent", "x", "--pr", "1"]) == 0
+    assert set(runs) == {("only", 7)}
+    assert len(runs) == 2 * bench_pairs.PAIRS + 2      # and one traced run per side
+    out = json.loads((tmp_path / "BENCH_1.json").read_text())
+    assert list(out["set_a"]) == list(out["traced"]["workloads"]) == ["only"]

@@ -8,10 +8,12 @@ The parent side runs from a clean export of ``--parent`` (``git archive``
 into a temporary directory, removed at the end); the change side runs
 from a copy, in the same temporary directory, of the working tree's
 files that git does not ignore, so neither side starts with bytecode
-caches or earlier ``perfbench/out/`` files.  Every workload gets ten
-pairs, and each pair runs
-``perfbench/run.py --workload W --seed S --seconds 30 --trace 0`` once per
-side, alternately: even pairs run the parent first, odd pairs the change.
+caches or earlier ``perfbench/out/`` files.  The workloads, the run
+length and the end-to-end metrics are ``BENCHMARK.json``'s ``workloads``,
+``run_seconds`` and ``end_to_end``.  Every workload gets ten pairs, and
+each pair runs ``perfbench/run.py --workload W --seed S --seconds
+run_seconds --trace 0`` once per side, alternately: even pairs run the
+parent first, odd pairs the change.
 Seeds are 100 N + 1 + pair index.  Then each side gives one traced run
 (``--trace 1``, seed 1) per workload.
 
@@ -37,9 +39,7 @@ import tarfile
 import tempfile
 from pathlib import Path
 
-WORKLOADS = ("paper-default", "grid-m3", "cohort-raw")
 PAIRS = 10                # the fewest pairs a claimed gain is judged on
-SECONDS = 30              # perfbench's run_seconds
 ONE_THREAD = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                 "MKL_NUM_THREADS")}
 
@@ -130,7 +130,9 @@ def main(argv=None):
     def log(text):
         print(text, file=sys.stderr, flush=True)
 
-    specs = json.loads(Path("BENCHMARK.json").read_text())["end_to_end"]
+    plan = json.loads(Path("BENCHMARK.json").read_text())
+    specs, seconds = plan["end_to_end"], plan["run_seconds"]
+    workloads = [workload["name"] for workload in plan["workloads"]]
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         trees = {"parent": export(args.parent, scratch / "parent"),
@@ -138,22 +140,22 @@ def main(argv=None):
         seeds = [100 * args.pr + 1 + i for i in range(PAIRS)]
         out = {"description": args.description,
                "command": f"python3 perfbench/run.py --workload W --seed S "
-                          f"--seconds {SECONDS} --trace 0",
+                          f"--seconds {seconds} --trace 0",
                "parent": args.parent, "machine": platform.machine(),
                "environment": None, "set_a": {}}
-        for workload in WORKLOADS:
+        for workload in workloads:
             env, out["set_a"][workload] = paired(trees, workload, seeds,
-                                                 SECONDS, specs, log)
+                                                 seconds, specs, log)
             out["environment"] = {**env, "python": platform.python_version(),
                                   "cpus": os.cpu_count(), **ONE_THREAD}
         out["traced"] = {"command": "python3 perfbench/run.py --workload W "
-                         f"--seed 1 --seconds {SECONDS} --trace 1",
+                         f"--seed 1 --seconds {seconds} --trace 1",
                          "note": "means per traced round, one run per side",
                          "workloads": {}}
-        for workload in WORKLOADS:
+        for workload in workloads:
             out["traced"]["workloads"][workload] = {}
             for side, tree in trees.items():
-                _, run, result = bench(tree, workload, 1, SECONDS, trace=1)
+                _, run, result = bench(tree, workload, 1, seconds, trace=1)
                 out["traced"]["workloads"][workload][side] = {
                     "run": run, "layers": {k: v["value"] for k, v
                                            in result["metrics"].items()}}
