@@ -21,8 +21,8 @@ K parameters each, and R = M^d rules:
     P       (C, d, M, K)    premise parameters, in ``params()`` order
     D       (C, d, M, g)    degrees: the bank's (C, d, M, 1) fields on
                             X.T[None, :, None, :]
-    W, Wbar (C, g, R)       firing strengths (product AND), normalized
-                            (uniform where the total is exactly zero)
+    Wbar    (C, g, R)       firing strengths (product AND) over their total
+                            S (C, g), uniform where S == 0; W: forward detail
     F       (C, g, R)       rule values p0 + p . x, consequents (C, R, d + 1)
     y       (C, g)          network output, sum_i Wbar * F
     grads   (C, d, M, K)    loss gradient in P
@@ -36,6 +36,7 @@ call that evaluation, ROC and the command line make.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -182,8 +183,8 @@ class AnfisModel:
     def from_dict(cls, d):
         model = cls(
             mf_shape=d["mf_shape"],
-            mfs_per_input=int(d["mfs_per_input"]),
-            input_dim=int(d["input_dim"]),
+            mfs_per_input=operator.index(d["mfs_per_input"]),
+            input_dim=operator.index(d["input_dim"]),
             input_range=tuple(d["input_range"]),
             mf_bank=[[mf_from_dict(m) for m in per_input]
                      for per_input in d["mf_bank"]],
@@ -191,7 +192,7 @@ class AnfisModel:
             consequent_order=d["consequent_order"],
             output_mode=d["output_mode"],
             positive_class=d["positive_class"],
-            seed=int(d["seed"]),
+            seed=operator.index(d["seed"]),
             training=d["training"])
         # only now that the file is known to hold M^d consequent rows
         if d["antecedents"] != model.antecedents.tolist():
@@ -277,23 +278,22 @@ def _check_inputs(model, X):
 
 
 def _layers(model, P, X, grads=False):
-    """(D, dD, W, S, Wbar, degenerate) of premises P on the rows of X:
-    dD (K, C, d, M, g) only with ``grads``, totals S (C, g) zero on the
-    ``degenerate`` rows."""
+    """(D, dD, S, Wbar, degenerate) of premises P on the rows of X: dD
+    (K, C, d, M, g) only with ``grads``, totals S (C, g) zero on the
+    ``degenerate`` rows; W is normalized in the array it is laid out in."""
     _check_inputs(model, X)
     bank = MF_SHAPES[model.mf_shape].bank(P)
     x = np.ascontiguousarray(X.T)[None, :, None, :]
     D, dD = bank.degree_and_param_grads(x) if grads else (bank.degree(x), None)
-    W = np.ascontiguousarray(np.swapaxes(_firing(D), -1, -2))
-    S = W.sum(axis=-1)
+    Wbar = np.ascontiguousarray(np.swapaxes(_firing(D), -1, -2))
+    S = Wbar.sum(axis=-1)
     if not np.all(np.isfinite(S)):
         raise NumericError("non-finite firing strengths: a membership degree overflowed")
     degenerate = S == 0.0
-    Wbar = np.full_like(W, 1.0 / model.n_rules)
-    np.divide(W, S[..., None], out=Wbar, where=~degenerate[..., None])
-    if __debug__:
-        assert np.all(np.abs(Wbar.sum(axis=-1) - 1.0) < 1e-9)
-    return D, dD, W, S, Wbar, degenerate
+    np.divide(Wbar, S[..., None], out=Wbar, where=~degenerate[..., None])
+    Wbar[degenerate] = 1.0 / model.n_rules
+    assert np.all(np.abs(Wbar.sum(axis=-1) - 1.0) < 1e-9)
+    return D, dD, S, Wbar, degenerate
 
 
 def _outputs(X, consequents, Wbar):
@@ -304,12 +304,12 @@ def _outputs(X, consequents, Wbar):
 
 
 def _forward_batch(model, X):
-    """Returns (y, W, Wbar, F, degenerate_rows)."""
+    """(y, W, Wbar, F, degenerate rows); the one place W (g, R) is formed."""
     X = np.asarray(X, dtype=float)
     P = MF_SHAPES[model.mf_shape].stack(model.mf_bank)
-    _, _, W, _, Wbar, degenerate = _layers(model, P[None], X)
+    D, _, _, Wbar, degenerate = _layers(model, P[None], X)
     F, y = _outputs(X, model.consequents[None], Wbar)
-    return y[0], W[0], Wbar[0], F[0], degenerate[0]
+    return y[0], np.ascontiguousarray(_firing(D)[0].T), Wbar[0], F[0], degenerate[0]
 
 
 def _row_blocks(n, width):
@@ -337,7 +337,7 @@ def _member_outputs(members, X):
     consequents = np.array([m.consequents for m in members])
     y = np.empty((len(X), C))
     for b in _row_blocks(len(X), C * model.n_rules):
-        Wbar = _layers(model, P, X[b])[4]
+        Wbar = _layers(model, P, X[b])[3]
         y[b] = _outputs(X[b], consequents, Wbar)[1].T
     return y
 
@@ -438,7 +438,8 @@ def lse_consequents(model, X, targets, ridge=1e-8, *, counts=None,
     elif not (np.shape(counts) == targets.shape == (len(X),)
               and np.all(np.asarray(counts) > 0)):
         raise ValueError("counts and targets need one value per row, counts > 0")
-    Wbar = _forward_batch(model, X)[2] if normalized is None else normalized
+    Wbar = normalized if normalized is not None else _layers(
+        model, MF_SHAPES[model.mf_shape].stack(model.mf_bank)[None], X)[3][0]
     weight = np.sqrt(counts)
     A = _design_matrix(model, Wbar, X, weight)
     b = targets * weight
@@ -461,7 +462,7 @@ def _loss_and_grads(model, layers, X, consequents, fold, grads=True):
     outputs and dE/dD are built in the scoring row blocks (``_row_blocks``),
     so no (C, g, R) temporary spans all rows; the sums over rows run once
     over all of them, so the bytes are one pass's."""
-    D, dD, _, S, Wbar, degenerate = layers
+    D, dD, S, Wbar, degenerate = layers
     counts, means, within_ss = fold
     C, d, M, g = D.shape
     grads = grads and dD is not None
@@ -576,7 +577,7 @@ def _train(members, train, test, config):
     for _ in range(config.epochs):
         for c in live:
             lse_consequents(members[c], rows, means[c], config.ridge,
-                            counts=counts, normalized=layers[4][c])
+                            counts=counts, normalized=layers[3][c])
         consequents = np.array([m.consequents for m in members])
         if shape.trainable:
             _, grads = _loss_and_grads(model, layers, rows, consequents, fold)

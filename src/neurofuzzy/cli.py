@@ -260,11 +260,14 @@ def _scored_selection(args):
     if not samples:
         raise SplitError("evaluation selection is empty")
     X, _, _, labels = to_arrays(samples)
-    predicted, scores = model.classify(X)
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below instead
+        predicted, scores = model.classify(X)
     if scores.shape[1:] != (len(CLASS_LABELS),):
         raise ModelFormatError(
             f"{args.model_file}: model scores {scores.shape[1]} classes, "
             f"evaluation needs {len(CLASS_LABELS)}")
+    if not np.all(np.isfinite(scores)):
+        raise NumericError(f"{args.model_file}: model gives non-finite scores")
     return labels, predicted, scores
 
 

@@ -134,15 +134,18 @@ class RocCurve:
 def roc_curve(scores, labels):
     """Threshold sweep over the distinct scores, ties grouped.
 
-    ``labels`` are binary (1 = positive); both classes must be present.
-    Rows are ranked by a stable descending sort; the running positive
-    and negative counts are read at the last row of each tie group
-    (Fawcett, Pattern Recognition Letters 27, 2006, Algorithm 2).
+    ``labels`` are binary (1 = positive); both classes must be present,
+    and no score may be NaN (+-inf rank first or last).  Rows are ranked
+    by a stable descending sort; the running positive and negative
+    counts are read at the last row of each tie group (Fawcett, Pattern
+    Recognition Letters 27, 2006, Algorithm 2).
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     if len(scores) != len(labels):
         raise ValueError("scores and labels differ in length")
+    if np.any(np.isnan(scores)):
+        raise ValueError("ROC scores must not be NaN")
     n_pos = int(np.sum(labels == 1))
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -185,6 +188,8 @@ def cap_consistent(mwcs, cap_percent, test_size, tol=0.005):
     ``tol`` defaults to half an ulp of a two-decimal percentage, i.e. the
     slack a correctly rounded CAP could carry.
     """
+    if test_size < 1:
+        raise ValueError(f"test_size must be >= 1, got {test_size}")
     implied = 100.0 * (1.0 - mwcs / test_size)
     return abs(implied - cap_percent) <= tol + 1e-12
 
@@ -238,6 +243,8 @@ def evaluate_multiclass(true_labels, predicted, scores=None, class_names=None):
             raise ValueError(f"{what} {bad[0]} outside 0..3")
     true_labels, predicted = true_labels.astype(int), predicted.astype(int)
     n = len(true_labels)
+    if scores is not None and np.shape(scores) != (n, 4):
+        raise ValueError(f"scores must be ({n}, 4), got {np.shape(scores)}")
     confusion = np.bincount(4 * true_labels + predicted, minlength=16).reshape(4, 4)
     right = int(np.trace(confusion))
     wrong = n - right

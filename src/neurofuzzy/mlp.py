@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -149,16 +150,16 @@ class MlpModel:
     @classmethod
     def from_dict(cls, d):
         return cls(
-            input_dim=int(d["input_dim"]),
-            hidden=int(d["hidden"]),
-            n_classes=int(d["n_classes"]),
+            input_dim=operator.index(d["input_dim"]),
+            hidden=operator.index(d["hidden"]),
+            n_classes=operator.index(d["n_classes"]),
             w_hidden=np.array(d["w_hidden"], dtype=float),
             b_hidden=np.array(d["b_hidden"], dtype=float),
             w_out=np.array(d["w_out"], dtype=float),
             b_out=np.array(d["b_out"], dtype=float),
             hidden_activation=d["hidden_activation"],
             output_activation=d["output_activation"],
-            seed=int(d["seed"]),
+            seed=operator.index(d["seed"]),
             training=d["training"])
 
 

@@ -341,11 +341,11 @@ class TestFiringGrid:
 def one_pass_premise_gradient(model, layers, rows, consequents, fold):
     """The premise gradient in one pass over all rows, its rule sums a
     one-hot matmul over the gathered leave-one-input-out products."""
-    D, dD, W, S, Wbar, degenerate = layers
+    D, dD, S, Wbar, degenerate = layers
     counts, means, _ = fold
     F, y = anfis._outputs(rows, consequents, Wbar)
     dEdy = 2.0 * counts * (y - means) / counts.sum()
-    dEdW = np.zeros_like(W)
+    dEdW = np.zeros_like(Wbar)
     np.divide(dEdy[..., None] * (F - y[..., None]), S[..., None], out=dEdW,
               where=~degenerate[..., None])
     dEdW = np.swapaxes(dEdW, -1, -2)
@@ -482,7 +482,8 @@ class TestBlockScoring:
 
     def test_training_memory_is_bounded(self):
         # one pass over all rows, holding two sets of layers while the next
-        # epoch's were built, peaked at 32.2e6 bytes
+        # epoch's were built, peaked at 32.2e6 bytes; row blocks with the raw
+        # firing strengths kept beside the normalized ones, at 22.3e6
         rng = np.random.default_rng(43)
         train = Dataset(rng.uniform(0.0, 1.0, size=(4030, 5)), rng.integers(0, 4, 4030))
         proto = build_grid_model("gauss2", input_range=(0.0, 1.0))
@@ -492,7 +493,7 @@ class TestBlockScoring:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24e6
+        assert peak < 20e6
 
     @pytest.mark.parametrize("kind,M", [("single", 2), ("single", 3), ("oaa", 2),
                                         ("oaa", 3), ("mlp", None)])

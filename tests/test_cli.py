@@ -277,6 +277,16 @@ REFUSED_MODELS = {
     "mlp-unknown-activation": lambda: _edited(
         build_mlp().to_dict(), hidden_activation="relu"),
     "mlp-three-classes": lambda: (build_mlp(n_classes=3).to_dict(), False),
+    # integer fields: json reads Infinity, and 2.9 must not load as 2
+    "anfis-seed-infinite": lambda: _edited(
+        build_grid_model("gauss2").to_dict(), seed=math.inf),
+    "anfis-mfs-per-input-fractional": lambda: _edited(
+        build_grid_model("gauss2").to_dict(), mfs_per_input=2.9),
+    "oaa-member-seed-infinite": lambda: _oaa(
+        lambda members: members[1].update(seed=math.inf)),
+    "mlp-seed-infinite": lambda: _edited(build_mlp().to_dict(), seed=math.inf),
+    "mlp-hidden-fractional": lambda: _edited(
+        build_mlp(hidden=2).to_dict(), hidden=2.9),
 }
 
 
@@ -361,6 +371,26 @@ class TestEvaluate:
         assert proc.returncode == 4
         assert proc.stderr == ("error: non-finite firing strengths: "
                                "a membership degree overflowed\n")
+
+    @pytest.mark.parametrize("command", [["evaluate"], ["roc", "--class-index", "0"]])
+    def test_overflowing_scores_exit_4(self, command, tmp_path, dataset):
+        # finite consequents whose rule values overflow to inf - inf: scored,
+        # every NaN row would go to class 0
+        members = [build_grid_model("gauss2", output_mode="binary", positive_class=k)
+                   for k in range(4)]
+        for member in members:
+            member.consequents[:] = 1e308
+            member.consequents[::2] *= -1
+        path, out = tmp_path / "model.json", tmp_path / "out"
+        path.write_text(model_to_json(AnfisEnsemble(members)), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "neurofuzzy.cli", *command, str(path),
+             "--dataset", str(dataset), "--split", "none", "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+        assert proc.returncode == 4
+        assert proc.stderr == f"error: {path}: model gives non-finite scores\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("case", REFUSED_MODELS)
     def test_refused_model_file_exits_5(self, case, tmp_path, dataset, capsys):

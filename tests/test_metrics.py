@@ -48,8 +48,16 @@ EMPTY = BinaryConfusion(tp=0, fp=0, tn=0, fn=0)
     (lambda: roc_curve([0.1, 0.9], [0, 1, 1]), "differ in length"),
     (lambda: evaluate_multiclass([0, 1, 2], [0, 1]), "differ in length"),
     (lambda: evaluate_multiclass([], []), "must be non-empty"),
+    (lambda: evaluate_multiclass([0, 1, 2], [0, 1, 2], np.zeros((3, 3))),
+     r"scores must be \(3, 4\), got \(3, 3\)"),
+    (lambda: evaluate_multiclass([0, 1, 2], [0, 1, 2], np.zeros((2, 4))),
+     r"scores must be \(3, 4\), got \(2, 4\)"),
+    (lambda: roc_curve([math.nan] * 6, [1, 0, 1, 0, 1, 0]), "must not be NaN"),
+    (lambda: cap_consistent(1.0, 99.0, 0), "test_size must be >= 1, got 0"),
 ], ids=["negative-count", "oaa-lengths", "oaa-empty", "total-accuracy-empty",
-        "random-accuracy-empty", "roc-lengths", "multiclass-lengths", "multiclass-empty"])
+        "random-accuracy-empty", "roc-lengths", "multiclass-lengths", "multiclass-empty",
+        "multiclass-three-score-columns", "multiclass-score-rows", "roc-nan-scores",
+        "cap-consistent-no-test-rows"])
 def test_malformed_input_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -175,6 +183,11 @@ class TestRocCurve:
         curve = roc_curve(rng.uniform(size=30), rng.integers(0, 2, 30))
         assert points(curve)[0] == (0.0, 0.0)
         assert points(curve)[-1] == (1.0, 1.0)
+
+    def test_infinite_scores_rank_at_the_ends(self):
+        curve = roc_curve([math.inf, 0.5, 0.2, -math.inf], [1, 1, 0, 0])
+        assert auc(curve) == 1.0
+        assert curve.thresholds[1] == math.inf
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):

@@ -22,7 +22,7 @@ every output under the temporary directory:
 - the misuse cases in ``misuse``, which exit 2 to 5 (bad config, a flag
   the command does not read, an unwritable output path, bad data, a class
   absent from the data, bad model files, a model whose membership degrees
-  overflow, malformed baselines files), their
+  or rule values overflow, malformed baselines files), their
   model files edited from the side's own trained models.  Each faulty data
   file (a non-numeric, out-of-range or missing cell, a missing or
   duplicated column, two faults in one file in either order) goes
@@ -93,6 +93,14 @@ def drop_last_class(payload):
     payload.update(n_classes=3, w_out=payload["w_out"][:3], b_out=payload["b_out"][:3])
 
 
+def overflow_consequents(payload):
+    """Set every member's consequents to +-1e308 by rule, finite values whose
+    rule values overflow to inf - inf."""
+    for member in payload["members"]:
+        member["consequents"] = [[(-1) ** r * 1e308] * len(row)
+                                 for r, row in enumerate(member["consequents"])]
+
+
 def misuse(inp, run, dataset):
     """(name, argv) of the misuse cases, given the trained models under ``run``."""
     oaa, single, mlp = (run / name / "model.json"
@@ -159,6 +167,10 @@ def misuse(inp, run, dataset):
             antecedents=d["antecedents"][::-1], consequents=d["consequents"][::-1])),
         "subset-rules": edited_model(single, inp / "subset.json", lambda d: d.update(
             antecedents=d["antecedents"][:8], consequents=d["consequents"][:8])),
+        "seed-infinite": edited_model(
+            single, inp / "seed_inf.json", lambda d: d.update(seed=float("inf"))),
+        "overflowing-consequents": edited_model(
+            oaa, inp / "big_consequents.json", overflow_consequents),
         # finite parameters whose gauss2 degrees overflow to NaN
         "overflowing-degrees": edited_model(
             oaa, inp / "overflow.json", lambda d: d["members"][0]["mf_bank"][0][0].update(
