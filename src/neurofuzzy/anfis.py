@@ -14,8 +14,8 @@ mean targets t.  On them dE/dy = 2 c (y - t) / n, and the error, which
 adds back the targets' spread within each row, are exact.  The C
 members of a run (4 for one-against-all) train along a member axis.
 
-Array conventions, for d inputs, M membership functions per input with
-K parameters each, and R = M^d rules:
+Array conventions, for d inputs, M functions per input (a model's
+``mf_bank`` is d rows of M), K parameters each, and R = M^d rules:
 
     X       (g, d)          rows (n raw rows outside training)
     P       (C, d, M, K)    premise parameters, in ``params()`` order
@@ -36,7 +36,6 @@ call that evaluation, ROC and the command line make.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -108,11 +107,16 @@ class TrainingTrace:
         return asdict(self)
 
 
+def file_int(value):
+    """A model file's integer field: a JSON integer, not a bool or a float."""
+    if type(value) is not int:
+        raise TypeError(f"'{type(value).__name__}' object cannot be "
+                        f"interpreted as an integer")
+    return value
+
+
 @dataclass(eq=False)
 class AnfisModel:
-    mf_shape: str
-    mfs_per_input: int
-    input_dim: int
     input_range: tuple
     mf_bank: list                 # per input: list of membership functions
     consequents: np.ndarray       # (R, input_dim + 1) float, rule r = grid cell r
@@ -121,6 +125,11 @@ class AnfisModel:
     positive_class: int | None = None
     seed: int = 0
     training: dict | None = None
+    # the grid's sizes are the bank's: d rows of M functions of one shape
+    mf_class = property(lambda self: type(self.mf_bank[0][0]))
+    mf_shape = property(lambda self: self.mf_class.shape_name)
+    mfs_per_input = property(lambda self: len(self.mf_bank[0]))
+    input_dim = property(lambda self: len(self.mf_bank))
 
     def __post_init__(self):
         if self.consequent_order not in ("linear", "constant"):
@@ -130,11 +139,14 @@ class AnfisModel:
         if self.output_mode == "binary" and self.positive_class not in range(4):
             raise ValueError(f"binary model needs positive_class 0..3, "
                              f"got {self.positive_class!r}")
-        if (self.consequents.shape != (self.n_rules, self.input_dim + 1)
-                or len(self.mf_bank) != self.input_dim
-                or any(len(row) != self.mfs_per_input for row in self.mf_bank)):
+        if self.output_mode == "single" and self.positive_class is not None:
+            raise ValueError(f"single model takes no positive_class, "
+                             f"got {self.positive_class!r}")
+        # an empty bank or row first, as the sizes would raise IndexError
+        if (not all(self.mf_bank) or len({len(row) for row in self.mf_bank}) != 1
+                or self.consequents.shape != (self.n_rules, self.input_dim + 1)):
             raise ValueError("inconsistent rule table dimensions")
-        premises = MF_SHAPES[self.mf_shape].stack(self.mf_bank)
+        premises = self.mf_class.stack(self.mf_bank)
         if not (np.all(np.isfinite(premises))
                 and np.all(np.isfinite(self.consequents))):
             raise ValueError("non-finite premise or consequent parameters")
@@ -181,20 +193,26 @@ class AnfisModel:
 
     @classmethod
     def from_dict(cls, d):
+        lo, hi = d["input_range"]
+        if not (type(lo) in (int, float) and type(hi) in (int, float)
+                and -math.inf < lo < hi < math.inf):
+            raise ValueError(f"input_range must be two finite numbers lo < hi, "
+                             f"got {d['input_range']!r}")
         model = cls(
-            mf_shape=d["mf_shape"],
-            mfs_per_input=operator.index(d["mfs_per_input"]),
-            input_dim=operator.index(d["input_dim"]),
-            input_range=tuple(d["input_range"]),
+            input_range=(float(lo), float(hi)),
             mf_bank=[[mf_from_dict(m) for m in per_input]
                      for per_input in d["mf_bank"]],
             consequents=np.array(d["consequents"], dtype=float),
             consequent_order=d["consequent_order"],
             output_mode=d["output_mode"],
-            positive_class=d["positive_class"],
-            seed=operator.index(d["seed"]),
+            positive_class=(None if d["positive_class"] is None
+                            else file_int(d["positive_class"])),
+            seed=file_int(d["seed"]),
             training=d["training"])
         # only now that the file is known to hold M^d consequent rows
+        if ((d["mf_shape"], file_int(d["mfs_per_input"]), file_int(d["input_dim"]))
+                != (model.mf_shape, model.mfs_per_input, model.input_dim)):
+            raise ValueError("declared mf_shape or sizes differ from the bank's")
         if d["antecedents"] != model.antecedents.tolist():
             raise ValueError("rule table is not the full grid in order")
         return model
@@ -255,7 +273,6 @@ def build_grid_model(mf_shape, mfs_per_input=2, input_range=(-1.0, 1.0),
                for _ in range(input_dim)]
     consequents = np.zeros((mfs_per_input ** input_dim, input_dim + 1))
     return AnfisModel(
-        mf_shape=mf_shape, mfs_per_input=mfs_per_input, input_dim=input_dim,
         input_range=(lo, hi), mf_bank=mf_bank,
         consequents=consequents, consequent_order=consequent_order,
         output_mode=output_mode, positive_class=positive_class, seed=seed)
@@ -282,7 +299,7 @@ def _layers(model, P, X, grads=False):
     (K, C, d, M, g) only with ``grads``, totals S (C, g) zero on the
     ``degenerate`` rows; W is normalized in the array it is laid out in."""
     _check_inputs(model, X)
-    bank = MF_SHAPES[model.mf_shape].bank(P)
+    bank = model.mf_class.bank(P)
     x = np.ascontiguousarray(X.T)[None, :, None, :]
     D, dD = bank.degree_and_param_grads(x) if grads else (bank.degree(x), None)
     Wbar = np.ascontiguousarray(np.swapaxes(_firing(D), -1, -2))
@@ -306,7 +323,7 @@ def _outputs(X, consequents, Wbar):
 def _forward_batch(model, X):
     """(y, W, Wbar, F, degenerate rows); the one place W (g, R) is formed."""
     X = np.asarray(X, dtype=float)
-    P = MF_SHAPES[model.mf_shape].stack(model.mf_bank)
+    P = model.mf_class.stack(model.mf_bank)
     D, _, _, Wbar, degenerate = _layers(model, P[None], X)
     F, y = _outputs(X, model.consequents[None], Wbar)
     return y[0], np.ascontiguousarray(_firing(D)[0].T), Wbar[0], F[0], degenerate[0]
@@ -331,7 +348,7 @@ def _member_outputs(members, X):
     ``_layers`` and ``_outputs`` call per row block, with one pass's bytes
     (``_row_blocks``)."""
     X = np.asarray(X, dtype=float)
-    model, shape, C = members[0], MF_SHAPES[members[0].mf_shape], len(members)
+    model, shape, C = members[0], members[0].mf_class, len(members)
     _check_inputs(model, X)
     P = np.array([shape.stack(m.mf_bank) for m in members])
     consequents = np.array([m.consequents for m in members])
@@ -439,7 +456,7 @@ def lse_consequents(model, X, targets, ridge=1e-8, *, counts=None,
               and np.all(np.asarray(counts) > 0)):
         raise ValueError("counts and targets need one value per row, counts > 0")
     Wbar = normalized if normalized is not None else _layers(
-        model, MF_SHAPES[model.mf_shape].stack(model.mf_bank)[None], X)[3][0]
+        model, model.mf_class.stack(model.mf_bank)[None], X)[3][0]
     weight = np.sqrt(counts)
     A = _design_matrix(model, Wbar, X, weight)
     b = targets * weight
@@ -518,7 +535,7 @@ def premise_gradients(model, X, t):
     """
     rows, *fold = _fold_rows(np.asarray(X, dtype=float),
                              np.asarray(t, dtype=float)[None])
-    shape = MF_SHAPES[model.mf_shape]
+    shape = model.mf_class
     P = shape.stack(model.mf_bank)
     layers = _layers(model, P[None], rows, shape.trainable)
     mse, grads = _loss_and_grads(model, layers, rows, model.consequents[None], fold)
@@ -538,7 +555,7 @@ def premise_gradient_step(model, X, t, learn_rate):
     gradient or stepped parameter raises ``NumericError`` and leaves the
     model unchanged.
     """
-    shape = MF_SHAPES[model.mf_shape]
+    shape = model.mf_class
     if not shape.trainable:
         return model
     _, grads = premise_gradients(model, X, t)
@@ -569,7 +586,7 @@ def _train(members, train, test, config):
         raise ValueError("training set is empty")
     rows, *fold = _fold_rows(*_targets(members, train))
     counts, means, _ = fold
-    model, shape = members[0], MF_SHAPES[members[0].mf_shape]
+    model, shape = members[0], members[0].mf_class
     P = np.array([shape.stack(m.mf_bank) for m in members])
     layers = _layers(model, P, rows, shape.trainable)
     traces = [TrainingTrace() for _ in members]

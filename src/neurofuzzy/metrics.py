@@ -245,6 +245,8 @@ def evaluate_multiclass(true_labels, predicted, scores=None, class_names=None):
     n = len(true_labels)
     if scores is not None and np.shape(scores) != (n, 4):
         raise ValueError(f"scores must be ({n}, 4), got {np.shape(scores)}")
+    if class_names is not None and len(class_names) != 4:
+        raise ValueError(f"class_names must be 4 names, got {len(class_names)}")
     confusion = np.bincount(4 * true_labels + predicted, minlength=16).reshape(4, 4)
     right = int(np.trace(confusion))
     wrong = n - right

@@ -2,10 +2,10 @@
 
 Layout is fixed to the classification task: d inputs, one hidden layer
 (sigmoid-family activation), four outputs trained against one-hot
-targets and read by argmax.  Training is plain gradient descent on the
-mean squared error over all output elements, full-batch by default,
-with an optional per-sample (stochastic) mode and an optional
-cross-entropy loss for logsig outputs.
+targets and read by argmax; a model's sizes are its weights' shapes.
+Training is plain gradient descent on the mean squared error over all
+output elements, full-batch by default, with an optional per-sample
+(stochastic) mode and an optional cross-entropy loss for logsig outputs.
 
 Weight initialization draws uniformly from [-0.5, 0.5] in a fixed
 order (hidden weights, hidden biases, output weights, output biases)
@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import copy
 import math
-import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .anfis import MODEL_FORMAT_VERSION
+from .anfis import MODEL_FORMAT_VERSION, file_int
 from .data import to_arrays
 from .errors import NumericError
 
@@ -98,9 +97,6 @@ class MlpTrainingTrace:
 
 @dataclass(eq=False)
 class MlpModel:
-    input_dim: int
-    hidden: int
-    n_classes: int
     w_hidden: np.ndarray          # (hidden, input_dim)
     b_hidden: np.ndarray          # (hidden,)
     w_out: np.ndarray             # (n_classes, hidden)
@@ -109,16 +105,19 @@ class MlpModel:
     output_activation: str = "logsig"
     seed: int = 0
     training: dict | None = None
+    hidden = property(lambda self: self.w_hidden.shape[0])
+    input_dim = property(lambda self: self.w_hidden.shape[1])
+    n_classes = property(lambda self: self.w_out.shape[0])
 
     def __post_init__(self):
         for name in (self.hidden_activation, self.output_activation):
             if name not in _ACTIVATIONS:
                 raise ValueError(f"unknown activation {name!r}")
-        if (self.w_hidden.shape != (self.hidden, self.input_dim)
-                or self.b_hidden.shape != (self.hidden,)
-                or self.w_out.shape != (self.n_classes, self.hidden)
-                or self.b_out.shape != (self.n_classes,)):
-            raise ValueError("weight shapes do not match declared sizes")
+        if (self.w_hidden.ndim != 2
+                or self.b_hidden.shape != self.w_hidden.shape[:1]
+                or self.w_out.shape[1:] != self.w_hidden.shape[:1]
+                or self.b_out.shape != self.w_out.shape[:1]):
+            raise ValueError("weight shapes do not fit together")
         if not all(np.all(np.isfinite(w)) for w in (
                 self.w_hidden, self.b_hidden, self.w_out, self.b_out)):
             raise ValueError("non-finite weights")
@@ -149,18 +148,19 @@ class MlpModel:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            input_dim=operator.index(d["input_dim"]),
-            hidden=operator.index(d["hidden"]),
-            n_classes=operator.index(d["n_classes"]),
+        model = cls(
             w_hidden=np.array(d["w_hidden"], dtype=float),
             b_hidden=np.array(d["b_hidden"], dtype=float),
             w_out=np.array(d["w_out"], dtype=float),
             b_out=np.array(d["b_out"], dtype=float),
             hidden_activation=d["hidden_activation"],
             output_activation=d["output_activation"],
-            seed=operator.index(d["seed"]),
+            seed=file_int(d["seed"]),
             training=d["training"])
+        if ([file_int(d[k]) for k in ("input_dim", "hidden", "n_classes")]
+                != [model.input_dim, model.hidden, model.n_classes]):
+            raise ValueError("declared sizes differ from the weights'")
+        return model
 
 
 def build_mlp(hidden=10, seed=0, input_dim=5, n_classes=4,
@@ -170,7 +170,6 @@ def build_mlp(hidden=10, seed=0, input_dim=5, n_classes=4,
         raise ValueError(f"hidden must be >= 1, got {hidden}")
     rng = np.random.default_rng(seed)
     return MlpModel(
-        input_dim=input_dim, hidden=hidden, n_classes=n_classes,
         w_hidden=rng.uniform(-0.5, 0.5, (hidden, input_dim)),
         b_hidden=rng.uniform(-0.5, 0.5, hidden),
         w_out=rng.uniform(-0.5, 0.5, (n_classes, hidden)),

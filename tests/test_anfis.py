@@ -184,6 +184,18 @@ class TestBuildGridModel:
     def test_zero_consequents(self):
         assert not build_grid_model("triangular").consequents.any()
 
+    def test_sizes_follow_an_assigned_bank(self):
+        # the bank assigned the way acceptance gate 6 assigns one
+        model = build_grid_model("gauss2", input_dim=2)
+        grid = build_grid_model("gbell", mfs_per_input=3, input_dim=2)
+        model.mf_bank = [[x for x in r] for r in grid.mf_bank]
+        model.consequents = grid.consequents = np.random.default_rng(7).normal(
+            size=(9, 3))
+        assert (model.mf_shape, model.mfs_per_input, model.n_rules) == ("gbell", 3, 9)
+        X = np.random.default_rng(8).uniform(-1, 1, size=(20, 2))
+        for got, want in zip(model.classify(X), grid.classify(X)):
+            np.testing.assert_array_equal(got, want)
+
 
 class TestForward:
     def test_constant_intercepts_pass_through(self):

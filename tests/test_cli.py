@@ -287,6 +287,36 @@ REFUSED_MODELS = {
     "mlp-seed-infinite": lambda: _edited(build_mlp().to_dict(), seed=math.inf),
     "mlp-hidden-fractional": lambda: _edited(
         build_mlp(hidden=2).to_dict(), hidden=2.9),
+    # json's true and 2.0 are not integers either; 1 == True and 2 == 2.0
+    "anfis-seed-true": lambda: _edited(build_grid_model("gauss2").to_dict(), seed=True),
+    "oaa-member-positive-class-true": lambda: _oaa(
+        lambda members: members[1].update(positive_class=True)),
+    "oaa-member-positive-class-float": lambda: _oaa(
+        lambda members: members[2].update(positive_class=2.0)),
+    "anfis-single-positive-class": lambda: _edited(
+        build_grid_model("gauss2").to_dict(), positive_class=2),
+    "mlp-seed-false": lambda: _edited(build_mlp().to_dict(), seed=False),
+    "mlp-hidden-true": lambda: _edited(build_mlp(hidden=1).to_dict(), hidden=True),
+    # input_range: two finite numbers lo < hi
+    **{f"anfis-input-range-{name}": lambda value=value: _edited(
+        build_grid_model("gauss2").to_dict(), input_range=value)
+       for name, value in [("one-value", [0.0]), ("string", "ab"),
+                           ("three-values", [0, 1, 2]), ("nan", [math.nan, 1]),
+                           ("reversed", [1, -1])]},
+    # declared sizes that the arrays do not have, and an empty bank or row
+    "anfis-mf-shape-disagrees": lambda: _edited(
+        build_grid_model("gauss2").to_dict(), mf_shape="gbell"),
+    "anfis-mfs-per-input-disagrees": lambda: _edited(
+        build_grid_model("gauss2").to_dict(), mfs_per_input=3),
+    "anfis-input-dim-disagrees": lambda: _edited(
+        build_grid_model("gauss2").to_dict(), input_dim=4),
+    "anfis-bank-empty": lambda: _edited(
+        build_grid_model("gauss2").to_dict(), mf_bank=[]),
+    "anfis-bank-row-empty": lambda: _edited(
+        build_grid_model("gauss2", input_dim=1).to_dict(), mf_bank=[[]]),
+    "mlp-input-dim-disagrees": lambda: _edited(build_mlp().to_dict(), input_dim=4),
+    "mlp-hidden-disagrees": lambda: _edited(build_mlp().to_dict(), hidden=11),
+    "mlp-n-classes-disagrees": lambda: _edited(build_mlp().to_dict(), n_classes=3),
 }
 
 

@@ -54,10 +54,12 @@ EMPTY = BinaryConfusion(tp=0, fp=0, tn=0, fn=0)
      r"scores must be \(3, 4\), got \(2, 4\)"),
     (lambda: roc_curve([math.nan] * 6, [1, 0, 1, 0, 1, 0]), "must not be NaN"),
     (lambda: cap_consistent(1.0, 99.0, 0), "test_size must be >= 1, got 0"),
+    (lambda: evaluate_multiclass([0, 1, 2, 3], [0, 1, 2, 3], class_names=["Low"]),
+     "class_names must be 4 names, got 1"),
 ], ids=["negative-count", "oaa-lengths", "oaa-empty", "total-accuracy-empty",
         "random-accuracy-empty", "roc-lengths", "multiclass-lengths", "multiclass-empty",
         "multiclass-three-score-columns", "multiclass-score-rows", "roc-nan-scores",
-        "cap-consistent-no-test-rows"])
+        "cap-consistent-no-test-rows", "multiclass-one-class-name"])
 def test_malformed_input_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -169,6 +169,13 @@ def misuse(inp, run, dataset):
             antecedents=d["antecedents"][:8], consequents=d["consequents"][:8])),
         "seed-infinite": edited_model(
             single, inp / "seed_inf.json", lambda d: d.update(seed=float("inf"))),
+        "seed-true": edited_model(
+            single, inp / "seed_true.json", lambda d: d.update(seed=True)),
+        "oaa-member-positive-class-float": edited_model(
+            oaa, inp / "class_float.json",
+            lambda d: d["members"][2].update(positive_class=2.0)),
+        "input-range-one-value": edited_model(
+            single, inp / "range_one.json", lambda d: d.update(input_range=[0.0])),
         "overflowing-consequents": edited_model(
             oaa, inp / "big_consequents.json", overflow_consequents),
         # finite parameters whose gauss2 degrees overflow to NaN
