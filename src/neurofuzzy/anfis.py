@@ -36,7 +36,8 @@ call that evaluation, ROC and the command line make.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+import operator
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -107,14 +108,6 @@ class TrainingTrace:
         return asdict(self)
 
 
-def file_int(value):
-    """A model file's integer field: a JSON integer, not a bool or a float."""
-    if type(value) is not int:
-        raise TypeError(f"'{type(value).__name__}' object cannot be "
-                        f"interpreted as an integer")
-    return value
-
-
 @dataclass(eq=False)
 class AnfisModel:
     input_range: tuple
@@ -132,6 +125,17 @@ class AnfisModel:
     input_dim = property(lambda self: len(self.mf_bank))
 
     def __post_init__(self):
+        # each field as a model file holds it, as model_io loads a file only
+        # if it saves back as itself; the comparison also rejects nan
+        lo, hi = map(float, self.input_range)
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError(f"input_range must be two finite numbers lo < hi, "
+                             f"got {self.input_range!r}")
+        self.input_range = (lo, hi)
+        self.consequents = np.array(self.consequents, dtype=float)
+        self.seed = operator.index(self.seed)
+        if self.positive_class is not None:
+            self.positive_class = operator.index(self.positive_class)
         if self.consequent_order not in ("linear", "constant"):
             raise ValueError(f"unknown consequent_order {self.consequent_order!r}")
         if self.output_mode not in ("single", "binary"):
@@ -180,7 +184,7 @@ class AnfisModel:
             "mf_shape": self.mf_shape,
             "mfs_per_input": self.mfs_per_input,
             "input_dim": self.input_dim,
-            "input_range": [float(self.input_range[0]), float(self.input_range[1])],
+            "input_range": list(self.input_range),
             "consequent_order": self.consequent_order,
             "positive_class": self.positive_class,
             "seed": self.seed,
@@ -193,29 +197,9 @@ class AnfisModel:
 
     @classmethod
     def from_dict(cls, d):
-        lo, hi = d["input_range"]
-        if not (type(lo) in (int, float) and type(hi) in (int, float)
-                and -math.inf < lo < hi < math.inf):
-            raise ValueError(f"input_range must be two finite numbers lo < hi, "
-                             f"got {d['input_range']!r}")
-        model = cls(
-            input_range=(float(lo), float(hi)),
-            mf_bank=[[mf_from_dict(m) for m in per_input]
-                     for per_input in d["mf_bank"]],
-            consequents=np.array(d["consequents"], dtype=float),
-            consequent_order=d["consequent_order"],
-            output_mode=d["output_mode"],
-            positive_class=(None if d["positive_class"] is None
-                            else file_int(d["positive_class"])),
-            seed=file_int(d["seed"]),
-            training=d["training"])
-        # only now that the file is known to hold M^d consequent rows
-        if ((d["mf_shape"], file_int(d["mfs_per_input"]), file_int(d["input_dim"]))
-                != (model.mf_shape, model.mfs_per_input, model.input_dim)):
-            raise ValueError("declared mf_shape or sizes differ from the bank's")
-        if d["antecedents"] != model.antecedents.tolist():
-            raise ValueError("rule table is not the full grid in order")
-        return model
+        values = {f.name: d[f.name] for f in fields(cls)}
+        values["mf_bank"] = [[mf_from_dict(m) for m in row] for row in d["mf_bank"]]
+        return cls(**values)
 
 
 @dataclass(eq=False)
@@ -223,6 +207,7 @@ class AnfisEnsemble:
     """Four binary models, member k scoring class k; scores feed argmax and ROC."""
 
     members: list
+    input_dim = property(lambda self: self.members[0].input_dim)
 
     def __post_init__(self):
         if ([(m.output_mode, m.positive_class) for m in self.members]
@@ -574,7 +559,6 @@ def _targets(members, samples):
 def _member(model, config, **changes):
     """A copy of ``model`` to train under ``config``, sharing no state."""
     return replace(model, mf_bank=[list(r) for r in model.mf_bank],
-                   consequents=model.consequents.copy(),
                    training=config.to_dict(), **changes)
 
 

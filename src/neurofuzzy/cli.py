@@ -247,12 +247,16 @@ def _scored_selection(args):
     side of the split, or every row for split=none.
 
     Returns (labels, predicted classes, per-class scores); a model
-    that does not score the four classes raises ModelFormatError.
+    that does not take the five attributes or score the four classes
+    raises ModelFormatError.
     """
     model = load_model(args.model_file)
     if getattr(model, "output_mode", None) == "binary":
         raise ModelFormatError(f"{args.model_file}: a binary model is one "
                                "one-against-all member, not a classifier")
+    if model.input_dim != len(ATTRIBUTES):
+        raise ModelFormatError(f"{args.model_file}: model takes {model.input_dim} "
+                               f"inputs, evaluation gives {len(ATTRIBUTES)}")
     cfg = build_run_config(args.config, _overrides_from_args(args))
     encoded = _load_encoded(cfg)
     split = _build_split(cfg, encoded)
@@ -310,7 +314,7 @@ def _load_baselines(path):
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read baselines file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:   # not UTF-8 or JSON, or too deep
             raise ConfigError(f"baselines file is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError("baselines file must hold a JSON object")

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import asdict, dataclass, field
+import operator
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .anfis import MODEL_FORMAT_VERSION, file_int
+from .anfis import MODEL_FORMAT_VERSION
 from .data import to_arrays
 from .errors import NumericError
 
@@ -110,6 +111,11 @@ class MlpModel:
     n_classes = property(lambda self: self.w_out.shape[0])
 
     def __post_init__(self):
+        # each field as a model file holds it (see AnfisModel)
+        self.w_hidden, self.b_hidden, self.w_out, self.b_out = (
+            np.array(w, dtype=float)
+            for w in (self.w_hidden, self.b_hidden, self.w_out, self.b_out))
+        self.seed = operator.index(self.seed)
         for name in (self.hidden_activation, self.output_activation):
             if name not in _ACTIVATIONS:
                 raise ValueError(f"unknown activation {name!r}")
@@ -148,19 +154,7 @@ class MlpModel:
 
     @classmethod
     def from_dict(cls, d):
-        model = cls(
-            w_hidden=np.array(d["w_hidden"], dtype=float),
-            b_hidden=np.array(d["b_hidden"], dtype=float),
-            w_out=np.array(d["w_out"], dtype=float),
-            b_out=np.array(d["b_out"], dtype=float),
-            hidden_activation=d["hidden_activation"],
-            output_activation=d["output_activation"],
-            seed=file_int(d["seed"]),
-            training=d["training"])
-        if ([file_int(d[k]) for k in ("input_dim", "hidden", "n_classes")]
-                != [model.input_dim, model.hidden, model.n_classes]):
-            raise ValueError("declared sizes differ from the weights'")
-        return model
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def build_mlp(hidden=10, seed=0, input_dim=5, n_classes=4,

@@ -4,9 +4,12 @@ One file format per model kind, all JSON with a ``format_version``
 field.  Serialization uses plain dicts built in a fixed order and
 ``json.dumps(indent=2)``, so save -> load -> save reproduces the file
 byte for byte.  A file's ``kind`` and ``output_mode`` pick its class
-from ``MODEL_CLASSES``; the class's ``from_dict`` checks the rest.
-Anything structurally wrong with a model file raises
-``ModelFormatError`` so callers can map it to a dedicated exit code.
+from ``MODEL_CLASSES``, whose constructor checks the model.  A file
+loads only if it saves back as itself: each top-level value must have
+the JSON text the loaded model writes for it (``true``, ``1`` and
+``1.0`` all differ; key order and layout do not).  Anything wrong with
+a model file raises ``ModelFormatError`` so callers can map it to a
+dedicated exit code.
 """
 
 from __future__ import annotations
@@ -29,6 +32,11 @@ def model_to_json(model):
     return json.dumps(model.to_dict(), indent=2) + "\n"
 
 
+def _value_text(d, key):
+    """The JSON text of ``d[key]``, None if ``d`` has no ``key``."""
+    return json.dumps(d[key], sort_keys=True) if key in d else None
+
+
 def save_model(model, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(model_to_json(model))
@@ -41,7 +49,7 @@ def load_model(path):
             raw = json.load(fh)
     except OSError as exc:
         raise ModelFormatError(f"{path}: cannot read model file ({exc})") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:   # not UTF-8 or JSON, or too deep
         raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ModelFormatError(f"{path}: expected a JSON object at top level")
@@ -59,6 +67,11 @@ def load_model(path):
         raise ModelFormatError(
             f"{path}: unknown model kind {kind!r}{detail}") from None
     try:
-        return cls.from_dict(raw)
-    except (KeyError, TypeError, ValueError) as exc:
+        model = cls.from_dict(raw)
+        saved = model.to_dict()
+        for key in {**saved, **raw}:        # the format's keys in order, then others
+            if _value_text(raw, key) != _value_text(saved, key):
+                raise ValueError(f"{key!r} does not save back as the file holds it")
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ModelFormatError(f"{path}: malformed {kind} model ({exc})") from exc
+    return model

@@ -260,6 +260,16 @@ def _edited(payload, **changes):
     return {**payload, **changes}, True
 
 
+def _set(payload, path, value):
+    """``payload`` with the element at ``path``, keys and indexes, set to ``value``."""
+    *outer, last = path
+    target = payload
+    for step in outer:
+        target = target[step]
+    target[last] = value
+    return payload, True
+
+
 # model files refused with exit 5: (payload, refused by load_model itself);
 # scores that are not four columns are refused when the model is scored
 REFUSED_MODELS = {
@@ -317,6 +327,22 @@ REFUSED_MODELS = {
     "mlp-input-dim-disagrees": lambda: _edited(build_mlp().to_dict(), input_dim=4),
     "mlp-hidden-disagrees": lambda: _edited(build_mlp().to_dict(), hidden=11),
     "mlp-n-classes-disagrees": lambda: _edited(build_mlp().to_dict(), n_classes=3),
+    # values that do not save back as the file holds them
+    "anfis-consequent-true": lambda: _set(
+        build_grid_model("gauss2").to_dict(), ["consequents", 0, 0], True),
+    "anfis-antecedent-true": lambda: _set(
+        build_grid_model("gauss2").to_dict(), ["antecedents", 1, -1], True),
+    "anfis-consequent-string": lambda: _set(
+        build_grid_model("gauss2").to_dict(), ["consequents", 0, 0], "0.5"),
+    "mlp-weight-true": lambda: _set(build_mlp().to_dict(), ["w_hidden", 0, 0], True),
+    "mlp-weight-string": lambda: _set(build_mlp().to_dict(), ["w_out", 0, 0], "0.5"),
+    "oaa-member-consequent-true": lambda: _oaa(
+        lambda members: members[1]["consequents"][0].__setitem__(0, True)),
+    "anfis-unknown-key": lambda: _edited(
+        build_grid_model("gauss2").to_dict(), colour="red"),
+    "anfis-format-version-true": lambda: _edited(
+        build_grid_model("gauss2").to_dict(), format_version=True),
+    "mlp-format-version-float": lambda: _edited(build_mlp().to_dict(), format_version=1.0),
 }
 
 
@@ -434,6 +460,16 @@ class TestEvaluate:
                      "--split", "none"]) == 5
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("text", [b'{"format_version": 1, "kind": "\xff"}',
+                                      b"[" * 200_000],
+                             ids=["not-utf-8", "deeply-nested"])
+    def test_unparsed_model_file_exits_5(self, text, tmp_path, dataset, capsys):
+        path = tmp_path / "model.json"
+        path.write_bytes(text)
+        assert main(["evaluate", str(path), "--dataset", str(dataset),
+                     "--split", "none"]) == 5
+        assert capsys.readouterr().err.startswith(f"error: {path}: not valid JSON (")
+
     def test_empty_selection_exits_3(self, trained, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("STG,SCG,STR,LPR,PEG,UNS\n", encoding="utf-8")
@@ -503,6 +539,19 @@ def test_stand_alone_binary_model_exits_5(command, tmp_path, dataset, capsys):
     assert main([command[0], str(path), *command[1:], *out, "--dataset", str(dataset),
                  "--split", "none"]) == 5
     assert "one one-against-all member" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["anfis_single", "anfis_oaa", "mlp"])
+@pytest.mark.parametrize("command", [["evaluate"], ["roc", "--class-index", "1"]])
+def test_model_of_other_inputs_exits_5(command, name, tmp_path, dataset, capsys):
+    """The models under tests/models take two inputs, not the five attributes."""
+    path = ROOT / "tests" / "models" / f"{name}.json"
+    out = ["--out", str(tmp_path / "out")]
+    assert main([command[0], str(path), *command[1:], *out, "--dataset", str(dataset),
+                 "--split", "none"]) == 5
+    assert capsys.readouterr().err == (
+        f"error: {path}: model takes 2 inputs, evaluation gives 5\n")
+    assert not (tmp_path / "out").exists()
 
 
 class TestRoc:
@@ -732,8 +781,8 @@ class TestCompare:
         assert capsys.readouterr().err.startswith("error: baselines ")
         assert not (tmp_path / "cmp").exists()
 
-    @pytest.mark.parametrize("text", [None, "{\"test_size\": 145,"],
-                             ids=["missing-file", "not-json"])
+    @pytest.mark.parametrize("text", [None, "{\"test_size\": 145,", "[" * 200_000],
+                             ids=["missing-file", "not-json", "deeply-nested"])
     def test_unreadable_baselines_exits_2(self, text, tmp_path, capsys):
         custom = tmp_path / "base.json"
         if text is not None:

@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neurofuzzy.anfis import AnfisEnsemble, AnfisModel
+from neurofuzzy.anfis import AnfisEnsemble, AnfisModel, build_grid_model
 from neurofuzzy.mlp import MlpModel
-from neurofuzzy.model_io import load_model, model_to_json
+from neurofuzzy.model_io import load_model, model_to_json, save_model
 
 MODELS = Path(__file__).parent / "models"
 EXPECTED = json.loads((MODELS / "expected.json").read_text(encoding="utf-8"))
@@ -34,3 +34,22 @@ def test_parent_written_file_loads_resaves_and_classifies(name, cls):
     classes, scores = model.classify(np.array(EXPECTED["rows"]))
     np.testing.assert_array_equal(classes, EXPECTED[name]["classes"])
     np.testing.assert_array_equal(scores, EXPECTED[name]["scores"])
+
+
+def test_model_given_integers_saves_back_as_itself(tmp_path):
+    """The constructors store each field as a file holds it, so a model built
+    from integer arrays and a true seed writes a file that loads and re-saves
+    byte for byte: the round-trip rule refuses no file the library wrote."""
+    models = [
+        AnfisModel(input_range=(-1, 1),
+                   mf_bank=build_grid_model("triangular", input_dim=2).mf_bank,
+                   consequents=np.ones((4, 3), dtype=int), seed=True),
+        MlpModel(w_hidden=np.ones((2, 2), dtype=int), b_hidden=np.zeros(2, dtype=int),
+                 w_out=np.ones((4, 2), dtype=int), b_out=np.zeros(4, dtype=int),
+                 seed=True),
+    ]
+    for model in models:
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        text = path.read_text(encoding="utf-8")
+        assert model_to_json(load_model(path)) == text

@@ -21,12 +21,12 @@ every output under the temporary directory:
   and from a config whose ``threshold`` is nan, which it does not read;
 - the misuse cases in ``misuse``, which exit 2 to 5 (bad config, a flag
   the command does not read, an unwritable output path, bad data, a class
-  absent from the data, bad model files, a model whose membership degrees
-  or rule values overflow, malformed baselines files), their
-  model files edited from the side's own trained models.  Each faulty data
-  file (a non-numeric, out-of-range or missing cell, a missing or
-  duplicated column, two faults in one file in either order) goes
-  through both ``dataset-stats`` and ``train``;
+  absent from the data, bad model files, a model of two inputs, a model
+  whose membership degrees or rule values overflow, malformed baselines
+  files), their model files edited from the side's own trained models.
+  Each faulty data file (a non-numeric, out-of-range or missing cell, a
+  missing or duplicated column, two faults in one file in either order)
+  goes through both ``dataset-stats`` and ``train``;
 - the bundled data rewritten in well-formed but unusual ways (quoted
   cells, CRLF line ends, an extra column, a reordered header, a
   whitespace-only line, padded label text), each through
@@ -139,8 +139,12 @@ def misuse(inp, run, dataset):
     (inp / "a_file").write_text("", encoding="utf-8")
     data = ["--dataset", str(dataset)]
     (inp / "corrupt.json").write_text('{"kind": "anfis"', encoding="utf-8")
+    (inp / "not_utf8.json").write_bytes(b'{"format_version": 1, "kind": "\xff"}')
+    (inp / "nested.json").write_bytes(b"[" * 200_000)
     models = {
         "corrupt": str(inp / "corrupt.json"),
+        "not-utf8": str(inp / "not_utf8.json"),
+        "deeply-nested": str(inp / "nested.json"),
         "format-version-2": edited_model(
             oaa, inp / "v2.json", lambda d: d.update(format_version=2)),
         "unknown-kind": edited_model(
@@ -176,6 +180,16 @@ def misuse(inp, run, dataset):
             lambda d: d["members"][2].update(positive_class=2.0)),
         "input-range-one-value": edited_model(
             single, inp / "range_one.json", lambda d: d.update(input_range=[0.0])),
+        "consequent-true": edited_model(
+            single, inp / "consequent_true.json",
+            lambda d: d["consequents"][0].__setitem__(0, True)),
+        "weight-string": edited_model(
+            mlp, inp / "weight_string.json",
+            lambda d: d["w_out"][0].__setitem__(0, "0.5")),
+        "unknown-key": edited_model(
+            mlp, inp / "unknown_key.json", lambda d: d.update(colour="red")),
+        "two-inputs": edited_model(mlp, inp / "two_inputs.json", lambda d: d.update(
+            input_dim=2, w_hidden=[row[:2] for row in d["w_hidden"]])),
         "overflowing-consequents": edited_model(
             oaa, inp / "big_consequents.json", overflow_consequents),
         # finite parameters whose gauss2 degrees overflow to NaN
