@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -73,69 +72,65 @@ BLOCK_VALUES = 2**14
 BLOCK_ALIGN = 24
 
 
-@dataclass
 class TrainingConfig:
-    epochs: int = 100
-    learn_rate: float = 0.01
-    ridge: float = 1e-8
-    seed: int = 0
-    early_stop_rmse: float = 0.0
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+    def __init__(self, epochs=100, learn_rate=0.01, ridge=1e-8, seed=0,
+                 early_stop_rmse=0.0):
+        if epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {epochs}")
         # the comparisons below also reject nan and inf
-        if not 0 < self.learn_rate < math.inf:
+        if not 0 < learn_rate < math.inf:
+            raise ValueError(f"learn_rate must be finite and > 0, got {learn_rate}")
+        if not 0 <= ridge < math.inf:
+            raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
+        if not 0 <= early_stop_rmse < math.inf:
             raise ValueError(
-                f"learn_rate must be finite and > 0, got {self.learn_rate}")
-        if not 0 <= self.ridge < math.inf:
-            raise ValueError(f"ridge must be finite and >= 0, got {self.ridge}")
-        if not 0 <= self.early_stop_rmse < math.inf:
-            raise ValueError(
-                f"early_stop_rmse must be finite and >= 0, got {self.early_stop_rmse}")
+                f"early_stop_rmse must be finite and >= 0, got {early_stop_rmse}")
+        self.epochs, self.learn_rate, self.ridge = epochs, learn_rate, ridge
+        self.seed, self.early_stop_rmse = seed, early_stop_rmse
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
 
     def to_dict(self):
-        return asdict(self)
+        return {"epochs": self.epochs, "learn_rate": self.learn_rate,
+                "ridge": self.ridge, "seed": self.seed,
+                "early_stop_rmse": self.early_stop_rmse}
 
 
-@dataclass
 class TrainingTrace:
-    train_rmse: list = field(default_factory=list)
-    test_rmse: float | None = None
-    epochs_run: int = 0
+    def __init__(self):
+        self.train_rmse, self.test_rmse, self.epochs_run = [], None, 0
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
 
     def to_dict(self):
-        return asdict(self)
+        return {"train_rmse": list(self.train_rmse), "test_rmse": self.test_rmse,
+                "epochs_run": self.epochs_run}
 
 
-@dataclass(eq=False)
 class AnfisModel:
-    input_range: tuple
-    mf_bank: list                 # per input: list of membership functions
-    consequents: np.ndarray       # (R, input_dim + 1) float, rule r = grid cell r
-    consequent_order: str = "linear"
-    output_mode: str = "single"   # single | binary
-    positive_class: int | None = None
-    seed: int = 0
-    training: dict | None = None
     # the grid's sizes are the bank's: d rows of M functions of one shape
     mf_class = property(lambda self: type(self.mf_bank[0][0]))
     mf_shape = property(lambda self: self.mf_class.shape_name)
     mfs_per_input = property(lambda self: len(self.mf_bank[0]))
     input_dim = property(lambda self: len(self.mf_bank))
 
-    def __post_init__(self):
+    def __init__(self, input_range, mf_bank, consequents, consequent_order="linear",
+                 output_mode="single", positive_class=None, seed=0, training=None):
         # each field as a model file holds it, as model_io loads a file only
         # if it saves back as itself; the comparison also rejects nan
-        lo, hi = map(float, self.input_range)
+        lo, hi = map(float, input_range)
         if not -math.inf < lo < hi < math.inf:
             raise ValueError(f"input_range must be two finite numbers lo < hi, "
-                             f"got {self.input_range!r}")
+                             f"got {input_range!r}")
         self.input_range = (lo, hi)
-        self.consequents = np.array(self.consequents, dtype=float)
-        self.seed = operator.index(self.seed)
-        if self.positive_class is not None:
-            self.positive_class = operator.index(self.positive_class)
+        self.mf_bank = mf_bank    # per input: list of membership functions
+        self.consequents = np.array(consequents, dtype=float)  # rule r = grid cell r
+        self.consequent_order, self.output_mode = consequent_order, output_mode
+        self.seed, self.training = operator.index(seed), training
+        self.positive_class = (None if positive_class is None
+                               else operator.index(positive_class))
         if self.consequent_order not in ("linear", "constant"):
             raise ValueError(f"unknown consequent_order {self.consequent_order!r}")
         if self.output_mode not in ("single", "binary"):
@@ -197,19 +192,18 @@ class AnfisModel:
 
     @classmethod
     def from_dict(cls, d):
-        values = {f.name: d[f.name] for f in fields(cls)}
-        values["mf_bank"] = [[mf_from_dict(m) for m in row] for row in d["mf_bank"]]
-        return cls(**values)
+        bank = [[mf_from_dict(m) for m in row] for row in d["mf_bank"]]
+        return cls(d["input_range"], bank, d["consequents"], d["consequent_order"],
+                   d["output_mode"], d["positive_class"], d["seed"], d["training"])
 
 
-@dataclass(eq=False)
 class AnfisEnsemble:
     """Four binary models, member k scoring class k; scores feed argmax and ROC."""
 
-    members: list
     input_dim = property(lambda self: self.members[0].input_dim)
 
-    def __post_init__(self):
+    def __init__(self, members):
+        self.members = members
         if ([(m.output_mode, m.positive_class) for m in self.members]
                 != [("binary", k) for k in range(4)]):
             raise ValueError("one-against-all needs four binary members, "
@@ -344,16 +338,13 @@ def _member_outputs(members, X):
     return y
 
 
-@dataclass(frozen=True)
 class ForwardDetail:
     """One forward pass with every layer exposed."""
 
-    y: float
-    firing: np.ndarray
-    normalized: np.ndarray
-    rule_outputs: np.ndarray
-    contributions: np.ndarray
-    degenerate: bool
+    def __init__(self, y, firing, normalized, rule_outputs, contributions, degenerate):
+        self.y, self.firing, self.normalized = y, firing, normalized
+        self.rule_outputs, self.contributions = rule_outputs, contributions
+        self.degenerate = degenerate
 
 
 def anfis_forward(model, x):
@@ -558,8 +549,11 @@ def _targets(members, samples):
 
 def _member(model, config, **changes):
     """A copy of ``model`` to train under ``config``, sharing no state."""
-    return replace(model, mf_bank=[list(r) for r in model.mf_bank],
-                   training=config.to_dict(), **changes)
+    return AnfisModel(**{
+        "input_range": model.input_range, "mf_bank": [list(r) for r in model.mf_bank],
+        "consequents": model.consequents, "consequent_order": model.consequent_order,
+        "output_mode": model.output_mode, "positive_class": model.positive_class,
+        "seed": model.seed, "training": config.to_dict(), **changes})
 
 
 def _train(members, train, test, config):

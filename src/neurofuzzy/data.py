@@ -32,7 +32,6 @@ import io
 import json
 import re
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +68,6 @@ def normalize_label(text):
     return _LABEL_LOOKUP.get(key)
 
 
-@dataclass(frozen=True, eq=False)
 class Dataset:
     """Samples held as columns: features ``X`` (n, d) and class indices
     ``labels`` (n,) in 0..3.
@@ -79,12 +77,9 @@ class Dataset:
     under the same labels.
     """
 
-    X: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        labels = np.asarray(self.labels, dtype=int)
+    def __init__(self, X, labels):
+        X = np.asarray(X, dtype=float)
+        labels = np.asarray(labels, dtype=int)
         if X.ndim != 2 or labels.shape != (len(X),):
             raise ValueError(
                 f"features of shape {X.shape} do not match labels of shape "
@@ -92,8 +87,7 @@ class Dataset:
         bad = labels[(labels < 0) | (labels >= len(CLASS_LABELS))]
         if bad.size:
             raise ValueError(f"class index {bad[0]} out of range")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "labels", labels)
+        self.X, self.labels = X, labels
 
     def __len__(self):
         return len(self.labels)
@@ -229,16 +223,12 @@ def passthrough(dataset):
     return Dataset(dataset.X.copy(), dataset.labels)
 
 
-@dataclass(frozen=True, eq=False)
 class DatasetSplit:
     """A train/test partition plus the recipe that produced it."""
 
-    train: Dataset
-    test: Dataset
-    seed: int
-    ratio: float
-    train_indices: list
-    test_indices: list
+    def __init__(self, train, test, seed, ratio, train_indices, test_indices):
+        self.train, self.test, self.seed, self.ratio = train, test, seed, ratio
+        self.train_indices, self.test_indices = train_indices, test_indices
 
 
 def _make_split(dataset, train_idx, test_idx, seed, ratio):

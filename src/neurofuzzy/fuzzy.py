@@ -21,9 +21,8 @@ owns its grid placement (``on_grid``) and its step ``repair``.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+import operator
 
 import numpy as np
 
@@ -43,22 +42,53 @@ MIN_WIDTH = 1e-6                  # floor a repaired width or slope keeps
 class MembershipFunction:
     """Parameter access shared by the shapes.
 
-    A shape's dataclass fields are its parameters, in order, so the
-    parameter vector, the stepped copy and the serialized form all
-    derive from them.
+    A shape's ``fields`` name its parameters, in order, and are its
+    ``__slots__``.  A record stores each parameter as a float, runs the
+    shape's ``check`` and refuses assignment; its parameter vector,
+    stepped copy and serialized form all read the fields.
     """
 
+    __slots__ = fields = ()
     widths = ()                   # parameter indexes kept >= MIN_WIDTH
 
+    def __init__(self, *args, **kwargs):
+        values = dict(zip(self.fields, args), **kwargs)
+        if len(args) > len(self.fields) or values.keys() != set(self.fields):
+            raise TypeError(f"{type(self).__name__} takes the parameters "
+                            f"{', '.join(self.fields)}, got {args}, {kwargs}")
+        for name in self.fields:
+            object.__setattr__(self, name, float(values[name]))
+        self.check()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r} of a "
+                             f"{type(self).__name__}: records are immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.fields)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._values() == self._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):             # copy and pickle through the constructor
+        return type(self), self._values()
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self._values()}"
+
     def params(self):
-        return np.array([getattr(self, f.name) for f in dataclasses.fields(self)])
+        return np.array(self._values())
 
     def with_params(self, p):
-        return dataclasses.replace(self, **{
-            f.name: float(v) for f, v in zip(dataclasses.fields(self), p)})
+        return type(self)(*p)
 
     def to_dict(self):
-        return {"shape": self.shape_name, **dataclasses.asdict(self)}
+        return {"shape": self.shape_name, **dict(zip(self.fields, self._values()))}
 
     @classmethod
     def grid(cls, lo, hi, count):
@@ -69,18 +99,18 @@ class MembershipFunction:
 
     @classmethod
     def stack(cls, rows):
-        """Parameters (d, M, K) of a grid of functions of this shape: each
-        record's ``vars``, which ``__init__`` fills with its fields in order."""
+        """Parameters (d, M, K) of a grid of functions of this shape."""
         if any(type(mf) is not cls for row in rows for mf in row):
             raise ValueError(f"a {cls.shape_name} bank holds another shape")
-        return np.array([[list(vars(mf).values()) for mf in row] for row in rows])
+        values = operator.attrgetter(*cls.fields)
+        return np.array([[values(mf) for mf in row] for row in rows])
 
     @classmethod
     def bank(cls, P):
         """One function whose fields are the (d, M, 1) columns of ``P``."""
         bank = object.__new__(cls)      # P is from stack: already checked
-        for k, f in enumerate(dataclasses.fields(cls)):
-            object.__setattr__(bank, f.name, P[..., k:k + 1])
+        for k, name in enumerate(cls.fields):
+            object.__setattr__(bank, name, P[..., k:k + 1])
         return bank
 
     @classmethod
@@ -96,22 +126,18 @@ class MembershipFunction:
         return P
 
 
-@dataclass(frozen=True)
 class GeneralizedBell(MembershipFunction):
     """Bell curve centered at ``c`` with half-width ``a`` and slope ``b``.
 
     degree(c) = 1, degree(c +/- a) = 0.5, symmetric about ``c``.
     """
 
-    a: float
-    b: float
-    c: float
-
+    __slots__ = fields = ("a", "b", "c")
     shape_name = "gbell"
     trainable = True
     widths = (0, 1)
 
-    def __post_init__(self):
+    def check(self):
         if not (self.a > 0):
             raise ValueError(f"bell width a must be > 0, got {self.a}")
         if not (self.b > 0):
@@ -152,20 +178,15 @@ class GeneralizedBell(MembershipFunction):
         return mu, np.stack([g_a, g_b, g_c])
 
 
-@dataclass(frozen=True)
 class TwoSidedGaussian(MembershipFunction):
     """Gaussian rise to a plateau [c_left, c_right], Gaussian fall after it."""
 
-    sigma_left: float
-    c_left: float
-    sigma_right: float
-    c_right: float
-
+    __slots__ = fields = ("sigma_left", "c_left", "sigma_right", "c_right")
     shape_name = "gauss2"
     trainable = True
     widths = (0, 2)
 
-    def __post_init__(self):
+    def check(self):
         if not (self.sigma_left > 0 and self.sigma_right > 0):
             raise ValueError(
                 f"sigmas must be > 0, got {self.sigma_left}, {self.sigma_right}")
@@ -213,18 +234,14 @@ class TwoSidedGaussian(MembershipFunction):
         return mu, np.stack([g_sl, g_cl, g_sr, g_cr])
 
 
-@dataclass(frozen=True)
 class Triangular(MembershipFunction):
     """Piecewise-linear hat: 0 outside [left, right], 1 at peak."""
 
-    left: float
-    peak: float
-    right: float
-
+    __slots__ = fields = ("left", "peak", "right")
     shape_name = "triangular"
     trainable = False
 
-    def __post_init__(self):
+    def check(self):
         if not (self.left < self.peak < self.right):
             raise ValueError(
                 f"need left < peak < right, got "

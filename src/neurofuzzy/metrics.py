@@ -22,8 +22,6 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import UndefinedKappaError
@@ -45,16 +43,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class BinaryConfusion:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    def __post_init__(self):
-        if min(self.tp, self.fp, self.tn, self.fn) < 0:
+    def __init__(self, tp, fp, tn, fn):
+        if min(tp, fp, tn, fn) < 0:
             raise ValueError("confusion counts must be non-negative")
+        self.tp, self.fp, self.tn, self.fn = tp, fp, tn, fn
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
 
     @property
     def total(self):
@@ -106,7 +102,6 @@ def cohen_kappa(c):
     return (total_accuracy(c) - rand) / (1.0 - rand)
 
 
-@dataclass(frozen=True, eq=False)
 class RocCurve:
     """Ordered ROC points as float arrays, plus the threshold of each.
 
@@ -114,13 +109,9 @@ class RocCurve:
     positive means score >= threshold.
     """
 
-    fpr: np.ndarray
-    tpr: np.ndarray
-    thresholds: np.ndarray
-
-    def __post_init__(self):
-        for name in ("fpr", "tpr", "thresholds"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+    def __init__(self, fpr, tpr, thresholds):
+        self.fpr, self.tpr, self.thresholds = (
+            np.asarray(v, dtype=float) for v in (fpr, tpr, thresholds))
         if not len(self.fpr) == len(self.tpr) == len(self.thresholds):
             raise ValueError("one threshold per point required")
         if (self.fpr[0], self.tpr[0], self.fpr[-1], self.tpr[-1]) != (0, 0, 1, 1):
@@ -194,17 +185,14 @@ def cap_consistent(mwcs, cap_percent, test_size, tol=0.005):
     return abs(implied - cap_percent) <= tol + 1e-12
 
 
-@dataclass(frozen=True, eq=False)
 class EvalReport:
     """Multiclass confusion plus per-class one-against-all statistics."""
 
-    confusion: np.ndarray
-    n_samples: int
-    overall_accuracy: float
-    wrong_count: int
-    mwcs: float
-    cap: float
-    per_class: tuple
+    def __init__(self, confusion, n_samples, overall_accuracy, wrong_count, mwcs, cap,
+                 per_class):
+        self.confusion, self.n_samples = confusion, n_samples
+        self.overall_accuracy, self.wrong_count = overall_accuracy, wrong_count
+        self.mwcs, self.cap, self.per_class = mwcs, cap, per_class
 
     def to_dict(self):
         return {

@@ -17,7 +17,6 @@ from __future__ import annotations
 import copy
 import math
 import operator
-from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -57,65 +56,59 @@ _ACTIVATIONS = {"tansig": (tansig, lambda out: 1.0 - out**2),
                 "logsig": (logsig, lambda out: out * (1.0 - out))}
 
 
-@dataclass
 class MlpTrainingConfig:
-    epochs: int = 500
-    learn_rate: float = 0.5
-    loss: str = "mse"             # mse | cross_entropy
-    batch_mode: str = "full"      # full | stochastic
-    seed: int = 0
-    early_stop_mse: float = 0.0
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+    def __init__(self, epochs=500, learn_rate=0.5, loss="mse", batch_mode="full",
+                 seed=0, early_stop_mse=0.0):
+        if epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {epochs}")
         # rate 0 is allowed: a null step leaves the weights unchanged;
         # the comparisons also reject nan and inf
-        if not 0 <= self.learn_rate < math.inf:
+        if not 0 <= learn_rate < math.inf:
+            raise ValueError(f"learn_rate must be finite and >= 0, got {learn_rate}")
+        if loss not in ("mse", "cross_entropy"):
+            raise ValueError(f"unknown loss {loss!r}")
+        if batch_mode not in ("full", "stochastic"):
+            raise ValueError(f"unknown batch_mode {batch_mode!r}")
+        if not 0 <= early_stop_mse < math.inf:
             raise ValueError(
-                f"learn_rate must be finite and >= 0, got {self.learn_rate}")
-        if self.loss not in ("mse", "cross_entropy"):
-            raise ValueError(f"unknown loss {self.loss!r}")
-        if self.batch_mode not in ("full", "stochastic"):
-            raise ValueError(f"unknown batch_mode {self.batch_mode!r}")
-        if not 0 <= self.early_stop_mse < math.inf:
-            raise ValueError(
-                f"early_stop_mse must be finite and >= 0, got {self.early_stop_mse}")
+                f"early_stop_mse must be finite and >= 0, got {early_stop_mse}")
+        self.epochs, self.learn_rate, self.loss = epochs, learn_rate, loss
+        self.batch_mode, self.seed, self.early_stop_mse = batch_mode, seed, early_stop_mse
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
 
     def to_dict(self):
-        return asdict(self)
+        return {"epochs": self.epochs, "learn_rate": self.learn_rate,
+                "loss": self.loss, "batch_mode": self.batch_mode, "seed": self.seed,
+                "early_stop_mse": self.early_stop_mse}
 
 
-@dataclass
 class MlpTrainingTrace:
-    train_mse: list = field(default_factory=list)
-    test_mse: float | None = None
-    epochs_run: int = 0
+    def __init__(self):
+        self.train_mse, self.test_mse, self.epochs_run = [], None, 0
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
 
     def to_dict(self):
-        return asdict(self)
+        return {"train_mse": list(self.train_mse), "test_mse": self.test_mse,
+                "epochs_run": self.epochs_run}
 
 
-@dataclass(eq=False)
 class MlpModel:
-    w_hidden: np.ndarray          # (hidden, input_dim)
-    b_hidden: np.ndarray          # (hidden,)
-    w_out: np.ndarray             # (n_classes, hidden)
-    b_out: np.ndarray             # (n_classes,)
-    hidden_activation: str = "tansig"
-    output_activation: str = "logsig"
-    seed: int = 0
-    training: dict | None = None
     hidden = property(lambda self: self.w_hidden.shape[0])
     input_dim = property(lambda self: self.w_hidden.shape[1])
     n_classes = property(lambda self: self.w_out.shape[0])
 
-    def __post_init__(self):
-        # each field as a model file holds it (see AnfisModel)
+    def __init__(self, w_hidden, b_hidden, w_out, b_out, hidden_activation="tansig",
+                 output_activation="logsig", seed=0, training=None):
+        # each field as a model file holds it (see AnfisModel): weights
+        # (hidden, input_dim) and (n_classes, hidden), biases (hidden,), (n_classes,)
         self.w_hidden, self.b_hidden, self.w_out, self.b_out = (
-            np.array(w, dtype=float)
-            for w in (self.w_hidden, self.b_hidden, self.w_out, self.b_out))
-        self.seed = operator.index(self.seed)
+            np.array(w, dtype=float) for w in (w_hidden, b_hidden, w_out, b_out))
+        self.hidden_activation, self.output_activation = hidden_activation, output_activation
+        self.seed, self.training = operator.index(seed), training
         for name in (self.hidden_activation, self.output_activation):
             if name not in _ACTIVATIONS:
                 raise ValueError(f"unknown activation {name!r}")
@@ -154,7 +147,8 @@ class MlpModel:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(**{f.name: d[f.name] for f in fields(cls)})
+        return cls(d["w_hidden"], d["b_hidden"], d["w_out"], d["b_out"],
+                   d["hidden_activation"], d["output_activation"], d["seed"], d["training"])
 
 
 def build_mlp(hidden=10, seed=0, input_dim=5, n_classes=4,

@@ -72,6 +72,6 @@ def load_model(path):
         for key in {**saved, **raw}:        # the format's keys in order, then others
             if _value_text(raw, key) != _value_text(saved, key):
                 raise ValueError(f"{key!r} does not save back as the file holds it")
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ModelFormatError(f"{path}: malformed {kind} model ({exc})") from exc
     return model

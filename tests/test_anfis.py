@@ -8,7 +8,6 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -178,8 +177,10 @@ class TestBuildGridModel:
         ({"output_mode": "binary", "positive_class": 4}, "binary model needs"),
     ], ids=["unknown-output-mode", "binary-without-class", "binary-class-4"])
     def test_bad_model_fields_rejected(self, changes, message):
+        grid = build_grid_model("gbell", input_dim=2)
         with pytest.raises(ValueError, match=message):
-            replace(build_grid_model("gbell", input_dim=2), **changes)
+            AnfisModel(input_range=grid.input_range, mf_bank=grid.mf_bank,
+                       consequents=grid.consequents, **changes)
 
     def test_zero_consequents(self):
         assert not build_grid_model("triangular").consequents.any()

@@ -343,6 +343,17 @@ REFUSED_MODELS = {
     "anfis-format-version-true": lambda: _edited(
         build_grid_model("gauss2").to_dict(), format_version=True),
     "mlp-format-version-float": lambda: _edited(build_mlp().to_dict(), format_version=1.0),
+    # an integer too large for a float, where a float is written
+    **{f"{name}-huge-integer": lambda payload=payload, path=path: _set(
+        payload(), path, 10**400)
+       for name, payload, path in [
+           ("anfis-consequent", lambda: build_grid_model("gauss2").to_dict(),
+            ["consequents", 0, 0]),
+           ("anfis-input-range", lambda: build_grid_model("gauss2").to_dict(),
+            ["input_range", 0]),
+           ("anfis-mf-param", lambda: build_grid_model("gbell").to_dict(),
+            ["mf_bank", 0, 0, "b"]),
+           ("mlp-weight", build_mlp().to_dict, ["w_out", 0, 0])]},
 }
 
 

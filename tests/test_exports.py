@@ -2,10 +2,15 @@
 exports each library module's public names.
 
 A stale entry breaks ``from module import *`` and hides the name from
-tools that walk ``__all__``.
+tools that walk ``__all__``.  Importing the package generates no classes:
+its records are plain classes, not dataclasses.
 """
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,3 +37,20 @@ def test_package_exports_module_names(name):
     unbound = [attr for attr in public
                if getattr(neurofuzzy, attr, None) is not getattr(module, attr)]
     assert unbound == []
+
+
+def test_import_loads_no_dataclasses():
+    code = "import sys, neurofuzzy.cli; print('dataclasses' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(neurofuzzy.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False"]
+
+
+@pytest.mark.parametrize("name", MODULES + ["errors"])
+def test_no_class_is_a_dataclass(name):
+    module = importlib.import_module(f"neurofuzzy.{name}")
+    generated = [attr for attr, obj in vars(module).items()
+                 if isinstance(obj, type) and obj.__module__ == module.__name__
+                 and hasattr(obj, "__dataclass_fields__")]
+    assert generated == []

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,6 +164,40 @@ class TestRoundTrip:
     def test_unknown_shape_rejected(self):
         with pytest.raises(ValueError):
             mf_from_dict({"shape": "trapezoid", "a": 1})
+
+
+RECORDS = [GeneralizedBell(a=1.5, b=2, c=-0.25),
+           TwoSidedGaussian(sigma_left=0.4, c_left=-1, sigma_right=0.6, c_right=1),
+           Triangular(left=-2, peak=0, right=2)]
+
+
+@pytest.mark.parametrize("mf", RECORDS, ids=lambda mf: mf.shape_name)
+class TestRecords:
+    """Records are immutable, with float fields: a stepped record is a new one."""
+
+    def test_fields_refuse_assignment(self, mf):
+        before = mf.params()
+        for name in mf.fields:
+            with pytest.raises(AttributeError):
+                setattr(mf, name, 1.0)
+            with pytest.raises(AttributeError):
+                delattr(mf, name)
+        with pytest.raises(AttributeError):
+            mf.extra = 1.0
+        np.testing.assert_array_equal(mf.params(), before)
+
+    def test_with_params_returns_a_new_float_record(self, mf):
+        p = mf.params() * 2.0
+        stepped = mf.with_params(p)
+        assert stepped is not mf and type(stepped) is type(mf)
+        assert [type(getattr(stepped, name)) for name in mf.fields] == [float] * len(p)
+        np.testing.assert_array_equal(stepped.params(), p)
+        assert stepped != mf and mf.with_params(mf.params()) == mf
+
+    def test_fields_are_floats_and_copies_equal(self, mf):
+        assert [type(getattr(mf, name)) for name in mf.fields] == [float] * len(mf.fields)
+        assert copy.deepcopy(mf) == mf and pickle.loads(pickle.dumps(mf)) == mf
+        assert hash(copy.copy(mf)) == hash(mf)
 
 
 class TestStack:

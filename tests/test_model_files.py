@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 
 from neurofuzzy.anfis import AnfisEnsemble, AnfisModel, build_grid_model
+from neurofuzzy.cli import main
+from neurofuzzy.errors import ModelFormatError
 from neurofuzzy.mlp import MlpModel
 from neurofuzzy.model_io import load_model, model_to_json, save_model
 
@@ -53,3 +55,19 @@ def test_model_given_integers_saves_back_as_itself(tmp_path):
         save_model(model, path)
         text = path.read_text(encoding="utf-8")
         assert model_to_json(load_model(path)) == text
+
+
+@pytest.mark.parametrize("shape,param", [("gbell", "b"), ("gauss2", "sigma_left")])
+def test_membership_parameter_true_is_refused(shape, param, tmp_path, capsys):
+    """A record stores its parameters as floats, so a ``true`` loads as 1.0,
+    saves back as ``1.0`` and is refused (exit 5), like any value that
+    does not save back as the file holds it."""
+    payload = build_grid_model(shape).to_dict()
+    payload["mf_bank"][0][0][param] = True
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match="'mf_bank' does not save back"):
+        load_model(path)
+    dataset = Path(__file__).parents[1] / "data" / "ukm_synthetic.csv"
+    assert main(["evaluate", str(path), "--dataset", str(dataset)]) == 5
+    assert capsys.readouterr().err.startswith(f"error: {path}: malformed anfis model")

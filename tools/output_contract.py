@@ -183,6 +183,9 @@ def misuse(inp, run, dataset):
         "consequent-true": edited_model(
             single, inp / "consequent_true.json",
             lambda d: d["consequents"][0].__setitem__(0, True)),
+        "mf-param-true": edited_model(
+            single, inp / "mf_param_true.json",
+            lambda d: d["mf_bank"][0][0].update(b=True)),
         "weight-string": edited_model(
             mlp, inp / "weight_string.json",
             lambda d: d["w_out"][0].__setitem__(0, "0.5")),
