@@ -64,6 +64,7 @@ __all__ = [
 ]
 
 MODEL_FORMAT_VERSION = 1          # of every model file kind; model_io checks it
+CONSEQUENT_ORDERS = ("linear", "constant")
 # row blocks (_row_blocks): values per (C, rows, R) temporary, and
 # the multiple of rows each block starts on, which keeps one pass's bytes
 # on the GEMM row panels of OpenBLAS 0.3.31's SkylakeX kernels, where it
@@ -72,41 +73,51 @@ BLOCK_VALUES = 2**14
 BLOCK_ALIGN = 24
 
 
-class TrainingConfig:
+class Record:
+    """Attribute equality; ``to_dict`` gives the attributes in ``__init__`` order."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    def to_dict(self):
+        return {key: list(value) if isinstance(value, list) else value
+                for key, value in vars(self).items()}
+
+
+def checked_epochs(epochs):
+    """``epochs`` as an int >= 1."""
+    try:
+        epochs = operator.index(epochs)
+    except TypeError:
+        raise ValueError(f"epochs must be an integer, got {epochs!r}") from None
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    return epochs
+
+
+def checked_nonnegative(name, value, zero_ok=True):
+    """``value`` as a float, finite and >= 0 (> 0 unless ``zero_ok``); the
+    comparisons also refuse nan."""
+    if not (0 <= value if zero_ok else 0 < value) or not value < math.inf:
+        raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, "
+                         f"got {value}")
+    return float(value)
+
+
+class TrainingConfig(Record):
+    # each number as the model file's training block writes it
     def __init__(self, epochs=100, learn_rate=0.01, ridge=1e-8, seed=0,
                  early_stop_rmse=0.0):
-        if epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {epochs}")
-        # the comparisons below also reject nan and inf
-        if not 0 < learn_rate < math.inf:
-            raise ValueError(f"learn_rate must be finite and > 0, got {learn_rate}")
-        if not 0 <= ridge < math.inf:
-            raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
-        if not 0 <= early_stop_rmse < math.inf:
-            raise ValueError(
-                f"early_stop_rmse must be finite and >= 0, got {early_stop_rmse}")
-        self.epochs, self.learn_rate, self.ridge = epochs, learn_rate, ridge
-        self.seed, self.early_stop_rmse = seed, early_stop_rmse
-
-    def __eq__(self, other):
-        return type(other) is type(self) and vars(other) == vars(self)
-
-    def to_dict(self):
-        return {"epochs": self.epochs, "learn_rate": self.learn_rate,
-                "ridge": self.ridge, "seed": self.seed,
-                "early_stop_rmse": self.early_stop_rmse}
+        self.epochs = checked_epochs(epochs)
+        self.learn_rate = checked_nonnegative("learn_rate", learn_rate, zero_ok=False)
+        self.ridge = checked_nonnegative("ridge", ridge)
+        self.seed = operator.index(seed)
+        self.early_stop_rmse = checked_nonnegative("early_stop_rmse", early_stop_rmse)
 
 
-class TrainingTrace:
+class TrainingTrace(Record):
     def __init__(self):
         self.train_rmse, self.test_rmse, self.epochs_run = [], None, 0
-
-    def __eq__(self, other):
-        return type(other) is type(self) and vars(other) == vars(self)
-
-    def to_dict(self):
-        return {"train_rmse": list(self.train_rmse), "test_rmse": self.test_rmse,
-                "epochs_run": self.epochs_run}
 
 
 class AnfisModel:
@@ -131,7 +142,7 @@ class AnfisModel:
         self.seed, self.training = operator.index(seed), training
         self.positive_class = (None if positive_class is None
                                else operator.index(positive_class))
-        if self.consequent_order not in ("linear", "constant"):
+        if self.consequent_order not in CONSEQUENT_ORDERS:
             raise ValueError(f"unknown consequent_order {self.consequent_order!r}")
         if self.output_mode not in ("single", "binary"):
             raise ValueError(f"unknown output_mode {self.output_mode!r}")
@@ -370,6 +381,10 @@ def _fold_rows(X, targets):
     """Collapse repeated rows of X, given targets (C, n), into ``(rows,
     counts, means, within_ss)``: mean targets (C, g) and the targets' sums
     of squares about them (C,), which no consequent can remove."""
+    if len(X) < 1:
+        raise ValueError("need at least one training sample")
+    if targets.shape[-1] != len(X):
+        raise ValueError(f"{len(X)} input rows but {targets.shape[-1]} targets")
     unique, inverse, counts = np.unique(
         X, axis=0, return_inverse=True, return_counts=True)
     inverse = inverse.ravel()        # its shape under axis= varies across numpy 2.x

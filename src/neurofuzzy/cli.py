@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .anfis import TrainingConfig, build_grid_model, train_hybrid, train_oaa
+from .anfis import (CONSEQUENT_ORDERS, TrainingConfig, build_grid_model,
+                    train_hybrid, train_oaa)
 from .data import (ATTRIBUTES, CLASS_LABELS, binarize, class_distribution,
                    kfold, load_dataset, passthrough, predefined_split,
                    split_stratified, split_to_json, to_arrays)
@@ -31,7 +32,8 @@ from .errors import (ConfigError, DataLoadError, ModelFormatError,
                      NeurofuzzyError, NumericError, SplitError)
 from .fuzzy import MF_SHAPES
 from .metrics import auc, cap_consistent, evaluate_multiclass, roc_curve, roc_to_csv
-from .mlp import MlpTrainingConfig, build_mlp, train_backprop
+from .mlp import (ACTIVATIONS, BATCH_MODES, LOSSES, MlpTrainingConfig, build_mlp,
+                  train_backprop)
 from .model_io import load_model, model_to_json
 
 __all__ = ["read_config_file", "build_run_config", "main"]
@@ -53,19 +55,16 @@ CONFIG_SCHEMA = {
     "mf_shape": (str, "gauss2", tuple(MF_SHAPES), "membership function shape"),
     "mfs_per_input": (int, 2, None, "membership functions per input"),
     "output_mode": (str, "oaa", ("single", "oaa"), "decision head"),
-    "consequent_order": (str, "linear", ("linear", "constant"),
-                         "rule consequent form"),
+    "consequent_order": (str, "linear", CONSEQUENT_ORDERS, "rule consequent form"),
     "epochs": (int, 100, None, "training epochs"),
     "learn_rate": (float, 0.01, None, "gradient step size"),
     "ridge": (float, 1e-8, None, "consequent solve regularization"),
     "early_stop": (float, 0.0, None, "stop when train error reaches this"),
     "hidden": (int, 10, None, "hidden layer size"),
-    "hidden_activation": (str, "tansig", ("tansig", "logsig"),
-                          "hidden activation"),
-    "output_activation": (str, "logsig", ("tansig", "logsig"),
-                          "output activation"),
-    "loss": (str, "mse", ("mse", "cross_entropy"), "training loss"),
-    "batch_mode": (str, "full", ("full", "stochastic"), "update granularity"),
+    "hidden_activation": (str, "tansig", tuple(ACTIVATIONS), "hidden activation"),
+    "output_activation": (str, "logsig", tuple(ACTIVATIONS), "output activation"),
+    "loss": (str, "mse", LOSSES, "training loss"),
+    "batch_mode": (str, "full", BATCH_MODES, "update granularity"),
     "out_dir": (str, ".", None, "output directory"),
 }
 # the keys the data-reading commands take as flags; config files take every key

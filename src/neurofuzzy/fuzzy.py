@@ -26,6 +26,8 @@ import operator
 
 import numpy as np
 
+from .errors import NumericError
+
 __all__ = [
     "MembershipFunction",
     "GeneralizedBell",
@@ -277,12 +279,15 @@ def normalize_weights(w):
 
     Returns ``(w_bar, degenerate)``.  When every strength is zero the
     ratio is undefined, so the result falls back to uniform weights and
-    flags the degeneracy instead of raising; inference stays total.
+    flags the degeneracy instead of raising; inference stays total.  A
+    total that is not finite raises ``NumericError``, as the network does.
     """
     w = np.asarray(w, dtype=float)
     if np.any(w < 0):
         raise ValueError("firing strengths must be non-negative")
     total = w.sum()
+    if not np.isfinite(total):
+        raise NumericError("non-finite firing strengths: a membership degree overflowed")
     if total > 0:
         return w / total, False
     return np.full(len(w), 1.0 / len(w)), True

@@ -15,12 +15,11 @@ from a seeded generator, so a seed pins the whole training run.
 from __future__ import annotations
 
 import copy
-import math
 import operator
 
 import numpy as np
 
-from .anfis import MODEL_FORMAT_VERSION
+from .anfis import MODEL_FORMAT_VERSION, Record, checked_epochs, checked_nonnegative
 from .data import to_arrays
 from .errors import NumericError
 
@@ -52,48 +51,29 @@ def logsig(x):
 
 
 # name: (activation, its derivative written in terms of the activation output)
-_ACTIVATIONS = {"tansig": (tansig, lambda out: 1.0 - out**2),
-                "logsig": (logsig, lambda out: out * (1.0 - out))}
+ACTIVATIONS = {"tansig": (tansig, lambda out: 1.0 - out**2),
+               "logsig": (logsig, lambda out: out * (1.0 - out))}
+LOSSES = ("mse", "cross_entropy")
+BATCH_MODES = ("full", "stochastic")
 
 
-class MlpTrainingConfig:
+class MlpTrainingConfig(Record):
     def __init__(self, epochs=500, learn_rate=0.5, loss="mse", batch_mode="full",
                  seed=0, early_stop_mse=0.0):
-        if epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {epochs}")
-        # rate 0 is allowed: a null step leaves the weights unchanged;
-        # the comparisons also reject nan and inf
-        if not 0 <= learn_rate < math.inf:
-            raise ValueError(f"learn_rate must be finite and >= 0, got {learn_rate}")
-        if loss not in ("mse", "cross_entropy"):
+        self.epochs = checked_epochs(epochs)
+        # rate 0 is allowed: a null step leaves the weights unchanged
+        self.learn_rate = checked_nonnegative("learn_rate", learn_rate)
+        if loss not in LOSSES:
             raise ValueError(f"unknown loss {loss!r}")
-        if batch_mode not in ("full", "stochastic"):
+        if batch_mode not in BATCH_MODES:
             raise ValueError(f"unknown batch_mode {batch_mode!r}")
-        if not 0 <= early_stop_mse < math.inf:
-            raise ValueError(
-                f"early_stop_mse must be finite and >= 0, got {early_stop_mse}")
-        self.epochs, self.learn_rate, self.loss = epochs, learn_rate, loss
-        self.batch_mode, self.seed, self.early_stop_mse = batch_mode, seed, early_stop_mse
-
-    def __eq__(self, other):
-        return type(other) is type(self) and vars(other) == vars(self)
-
-    def to_dict(self):
-        return {"epochs": self.epochs, "learn_rate": self.learn_rate,
-                "loss": self.loss, "batch_mode": self.batch_mode, "seed": self.seed,
-                "early_stop_mse": self.early_stop_mse}
+        self.loss, self.batch_mode, self.seed = loss, batch_mode, operator.index(seed)
+        self.early_stop_mse = checked_nonnegative("early_stop_mse", early_stop_mse)
 
 
-class MlpTrainingTrace:
+class MlpTrainingTrace(Record):
     def __init__(self):
         self.train_mse, self.test_mse, self.epochs_run = [], None, 0
-
-    def __eq__(self, other):
-        return type(other) is type(self) and vars(other) == vars(self)
-
-    def to_dict(self):
-        return {"train_mse": list(self.train_mse), "test_mse": self.test_mse,
-                "epochs_run": self.epochs_run}
 
 
 class MlpModel:
@@ -110,7 +90,7 @@ class MlpModel:
         self.hidden_activation, self.output_activation = hidden_activation, output_activation
         self.seed, self.training = operator.index(seed), training
         for name in (self.hidden_activation, self.output_activation):
-            if name not in _ACTIVATIONS:
+            if name not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {name!r}")
         if (self.w_hidden.ndim != 2
                 or self.b_hidden.shape != self.w_hidden.shape[:1]
@@ -172,8 +152,8 @@ def mlp_forward(model, X):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ValueError(f"expected (n, {model.input_dim}) inputs, got {X.shape}")
-    H = _ACTIVATIONS[model.hidden_activation][0](X @ model.w_hidden.T + model.b_hidden)
-    O = _ACTIVATIONS[model.output_activation][0](H @ model.w_out.T + model.b_out)
+    H = ACTIVATIONS[model.hidden_activation][0](X @ model.w_hidden.T + model.b_hidden)
+    O = ACTIVATIONS[model.output_activation][0](H @ model.w_out.T + model.b_out)
     return O, H
 
 
@@ -201,13 +181,13 @@ def mlp_loss_and_gradients(model, X, T, loss="mse", *, forward=None):
     O, H = mlp_forward(model, X) if forward is None else forward
     size = O.size
     if loss == "mse":
-        slope = _ACTIVATIONS[model.output_activation][1]
+        slope = ACTIVATIONS[model.output_activation][1]
         delta_out = 2.0 * (O - T) / size * slope(O)
     else:
         # logsig + cross-entropy: the sigmoid derivative cancels
         delta_out = (O - T) / size
     delta_hidden = ((delta_out @ model.w_out)
-                    * _ACTIVATIONS[model.hidden_activation][1](H))
+                    * ACTIVATIONS[model.hidden_activation][1](H))
     grads = {
         "w_out": delta_out.T @ H,
         "b_out": delta_out.sum(axis=0),

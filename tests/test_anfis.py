@@ -769,6 +769,20 @@ class TestPremiseGradients:
             premise_gradient_step(model, X, t, learn_rate=0.01)
         assert model_to_json(model) == before
 
+    @pytest.mark.parametrize("rows, targets, message", [
+        (0, 0, "need at least one training sample"),
+        (3, 2, "3 input rows but 2 targets"),
+    ], ids=["no-rows", "fewer-targets"])
+    def test_bad_batch_refused(self, rows, targets, message):
+        """The package, not numpy, refuses the batch, at each entry point."""
+        model = build_grid_model("gbell", input_dim=2)
+        X, t = np.zeros((rows, 2)), np.zeros(targets)
+        for call in (lambda: premise_gradients(model, X, t),
+                     lambda: premise_gradient_step(model, X, t, learn_rate=0.01),
+                     lambda: lse_consequents(model, X, t)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
     def test_subnormal_total_strength_is_refused(self):
         # every degree is tiny and S = 7.8e-313: dE/dW = dE/dy (F - y) / S
         # overflows to inf, which the zero products turn into NaN
@@ -857,7 +871,8 @@ class TestTrainHybrid:
             TrainingConfig(learn_rate=0.0)
         with pytest.raises(ValueError):
             TrainingConfig(ridge=-1.0)
-        for bad in ({"learn_rate": math.inf}, {"learn_rate": math.nan},
+        for bad in ({"epochs": 2.5}, {"epochs": math.nan},
+                    {"learn_rate": math.inf}, {"learn_rate": math.nan},
                     {"ridge": math.inf}, {"ridge": math.nan},
                     {"early_stop_rmse": math.inf}, {"early_stop_rmse": math.nan}):
             with pytest.raises(ValueError):

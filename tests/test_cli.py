@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from neurofuzzy import cli
-from neurofuzzy.anfis import AnfisEnsemble, build_grid_model
+from neurofuzzy.anfis import (AnfisEnsemble, TrainingConfig, TrainingTrace,
+                              build_grid_model)
 from neurofuzzy.cli import main
 from neurofuzzy.data import CLASS_LABELS
 from neurofuzzy.errors import ModelFormatError, UndefinedKappaError
-from neurofuzzy.mlp import build_mlp
+from neurofuzzy.mlp import MlpTrainingConfig, MlpTrainingTrace, build_mlp
 from neurofuzzy.model_io import load_model, model_to_json
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -25,6 +26,21 @@ MLP_TRAINING_KEYS = ["epochs", "learn_rate", "loss", "batch_mode", "seed",
                      "early_stop_mse"]
 ANFIS_TRACE_KEYS = ["train_rmse", "test_rmse", "epochs_run"]
 MLP_TRACE_KEYS = ["train_mse", "test_mse", "epochs_run"]
+
+
+@pytest.mark.parametrize("record, keys", [
+    (TrainingConfig(), ANFIS_TRAINING_KEYS), (MlpTrainingConfig(), MLP_TRAINING_KEYS),
+    (TrainingTrace(), ANFIS_TRACE_KEYS), (MlpTrainingTrace(), MLP_TRACE_KEYS),
+], ids=["anfis-config", "mlp-config", "anfis-trace", "mlp-trace"])
+def test_record_writes_pinned_key_order(record, keys):
+    """A record writes its fields in the order ``__init__`` sets them, the
+    pinned order, and hands out copies of its lists."""
+    written = record.to_dict()
+    assert list(written) == keys
+    for value in written.values():
+        if isinstance(value, list):
+            value.append(0.0)
+    assert record == type(record)()
 
 
 def toy_rows(n=48, seed=0, classes=(0, 1, 2, 3)):

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neurofuzzy.errors import NumericError
 from neurofuzzy.fuzzy import (GeneralizedBell, Triangular, TwoSidedGaussian,
                               mf_from_dict, normalize_weights)
 from sugeno_reference import SugenoRule, firing_strengths, sugeno_infer
@@ -305,6 +307,13 @@ class TestNormalizeWeights:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             normalize_weights([0.5, -0.1])
+
+    @pytest.mark.filterwarnings("error")     # refused, with no numpy warning
+    @pytest.mark.parametrize("w", [[math.inf, 1.0], [math.nan, 1.0]])
+    def test_non_finite_total_refused(self, w):
+        """As the network's layers refuse a total that is not finite."""
+        with pytest.raises(NumericError, match="non-finite firing strengths"):
+            normalize_weights(w)
 
     @given(st.lists(st.floats(0.0, 1.0, **finite), min_size=1, max_size=40))
     def test_sums_to_one_whenever_supported(self, w):

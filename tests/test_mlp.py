@@ -257,7 +257,8 @@ class TestTraining:
             MlpTrainingConfig(loss="hinge")
         with pytest.raises(ValueError):
             MlpTrainingConfig(batch_mode="minibatch")
-        for bad in ({"learn_rate": math.inf}, {"learn_rate": math.nan},
+        for bad in ({"epochs": 2.5}, {"epochs": math.nan},
+                    {"learn_rate": math.inf}, {"learn_rate": math.nan},
                     {"early_stop_mse": math.inf}, {"early_stop_mse": math.nan}):
             with pytest.raises(ValueError):
                 MlpTrainingConfig(**bad)

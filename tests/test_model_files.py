@@ -14,13 +14,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neurofuzzy.anfis import AnfisEnsemble, AnfisModel, build_grid_model
+from neurofuzzy.anfis import (AnfisEnsemble, AnfisModel, TrainingConfig,
+                              build_grid_model, train_hybrid, train_oaa)
 from neurofuzzy.cli import main
+from neurofuzzy.data import binarize, load_dataset
 from neurofuzzy.errors import ModelFormatError
-from neurofuzzy.mlp import MlpModel
+from neurofuzzy.mlp import MlpModel, MlpTrainingConfig, build_mlp, train_backprop
 from neurofuzzy.model_io import load_model, model_to_json, save_model
 
 MODELS = Path(__file__).parent / "models"
+DATASET = Path(__file__).parents[1] / "data" / "ukm_synthetic.csv"
 EXPECTED = json.loads((MODELS / "expected.json").read_text(encoding="utf-8"))
 
 
@@ -57,6 +60,28 @@ def test_model_given_integers_saves_back_as_itself(tmp_path):
         assert model_to_json(load_model(path)) == text
 
 
+@pytest.mark.parametrize("train", [train_hybrid, train_oaa, train_backprop])
+def test_numpy_scalar_settings_save_back_as_themselves(train, tmp_path):
+    """The training configs store numpy scalars as Python ints and floats, so
+    the trained model's file, whose training block echoes them, writes and
+    loads, and re-saves byte for byte."""
+    samples = binarize(load_dataset(DATASET))
+    settings = {"epochs": np.int64(2), "learn_rate": np.float32(0.01),
+                "seed": np.int64(3)}
+    if train is train_backprop:
+        proto = build_mlp()
+        config = MlpTrainingConfig(**settings, early_stop_mse=np.float32(0.0))
+    else:
+        proto = build_grid_model("gauss2")
+        config = TrainingConfig(**settings, ridge=np.float32(1e-8),
+                                early_stop_rmse=np.float32(0.0))
+    model, _ = train(proto, samples, [], config)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    text = path.read_text(encoding="utf-8")
+    assert model_to_json(load_model(path)) == text
+
+
 @pytest.mark.parametrize("shape,param", [("gbell", "b"), ("gauss2", "sigma_left")])
 def test_membership_parameter_true_is_refused(shape, param, tmp_path, capsys):
     """A record stores its parameters as floats, so a ``true`` loads as 1.0,
@@ -68,6 +93,5 @@ def test_membership_parameter_true_is_refused(shape, param, tmp_path, capsys):
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(ModelFormatError, match="'mf_bank' does not save back"):
         load_model(path)
-    dataset = Path(__file__).parents[1] / "data" / "ukm_synthetic.csv"
-    assert main(["evaluate", str(path), "--dataset", str(dataset)]) == 5
+    assert main(["evaluate", str(path), "--dataset", str(DATASET)]) == 5
     assert capsys.readouterr().err.startswith(f"error: {path}: malformed anfis model")
