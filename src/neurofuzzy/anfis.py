@@ -638,10 +638,13 @@ def decode_values(y):
 
     Rounding is half away from zero, implemented as floor(y + 0.5);
     on the clamped target range the two rules agree.  The decision
-    depends on y only through the boundaries 1.5, 2.5, 3.5.
+    depends on y only through the boundaries 1.5, 2.5, 3.5.  A non-finite
+    output has no class: it raises ``NumericError``.
     """
-    values = np.clip(np.floor(np.asarray(y, dtype=float) + 0.5), 1, 4)
-    return values.astype(int) - 1
+    y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise NumericError("non-finite model outputs have no class")
+    return np.clip(np.floor(y + 0.5), 1, 4).astype(int) - 1
 
 
 def predict_classes(model, X):

@@ -224,46 +224,38 @@ def passthrough(dataset):
 
 
 class DatasetSplit:
-    """A train/test partition plus the recipe that produced it."""
+    """A train/test partition of ``dataset`` by row index, plus the recipe
+    (seed, ratio) that produced it."""
 
-    def __init__(self, train, test, seed, ratio, train_indices, test_indices):
-        self.train, self.test, self.seed, self.ratio = train, test, seed, ratio
+    def __init__(self, dataset, train_indices, test_indices, seed, ratio):
+        self.train, self.test = dataset.take(train_indices), dataset.take(test_indices)
         self.train_indices, self.test_indices = train_indices, test_indices
+        self.seed, self.ratio = seed, ratio
 
 
-def _make_split(dataset, train_idx, test_idx, seed, ratio):
-    return DatasetSplit(
-        train=dataset.take(train_idx), test=dataset.take(test_idx),
-        seed=seed, ratio=ratio,
-        train_indices=train_idx, test_indices=test_idx)
-
-
-def _indices_by_class(dataset):
-    return [np.flatnonzero(dataset.labels == c) for c in range(len(CLASS_LABELS))]
+def _shuffled_classes(dataset, seed):
+    """Each present class's row indices, in class order, each shuffled in
+    turn by one generator seeded with ``seed``."""
+    rng = np.random.default_rng(seed)
+    classes = (np.flatnonzero(dataset.labels == c) for c in range(len(CLASS_LABELS)))
+    return [rng.permutation(idxs) for idxs in classes if idxs.size]
 
 
 def split_stratified(dataset, ratio, seed):
     """Stratified shuffle split; per-class train counts are round(ratio * n_c).
 
-    Deterministic for a fixed seed.  Empty classes are a SplitError.
+    Deterministic for a fixed seed.  Only the classes present are split.
     """
     if not 0.0 < ratio < 1.0:
         raise SplitError(f"ratio must be in (0, 1), got {ratio}")
     if not dataset:
         raise SplitError("cannot split an empty sample list")
-
-    rng = np.random.default_rng(seed)
-    train_idx, test_idx = [], []
-    for idxs in _indices_by_class(dataset):
-        if not idxs.size:
-            continue  # stratify over the classes actually present
-        rng.shuffle(idxs)
-        n_train = int(round(ratio * len(idxs)))
-        train_idx.extend(idxs[:n_train].tolist())
-        test_idx.extend(idxs[n_train:].tolist())
-    train_idx.sort()
-    test_idx.sort()
-    return _make_split(dataset, train_idx, test_idx, seed, ratio)
+    train, test = [], []
+    for idxs in _shuffled_classes(dataset, seed):
+        n_train = round(ratio * len(idxs))
+        train += idxs[:n_train].tolist()
+        test += idxs[n_train:].tolist()
+    return DatasetSplit(dataset, sorted(train), sorted(test), seed, ratio)
 
 
 def predefined_split(dataset, train_count=258):
@@ -274,41 +266,32 @@ def predefined_split(dataset, train_count=258):
     if not 0 < train_count < len(dataset):
         raise SplitError(
             f"train_count {train_count} invalid for {len(dataset)} samples")
-    train_idx = list(range(train_count))
-    test_idx = list(range(train_count, len(dataset)))
-    return _make_split(dataset, train_idx, test_idx, 0, train_count / len(dataset))
+    n = len(dataset)
+    return DatasetSplit(dataset, list(range(train_count)), list(range(train_count, n)),
+                        0, train_count / n)
 
 
 def kfold(dataset, k, seed):
-    """Stratified k folds: fold i tests on fold i, trains on the rest.
+    """Stratified k folds: each class is dealt round-robin into the folds,
+    and fold i tests on fold i and trains on the rest.
 
-    Requires every class to hold at least k samples.
+    Requires every present class to hold at least k samples.
     """
     if k < 2:
         raise SplitError(f"k must be >= 2, got {k}")
     if not dataset:
         raise SplitError("cannot split an empty sample list")
-    buckets = _indices_by_class(dataset)
-    for label, idxs in zip(CLASS_LABELS, buckets):
-        if 0 < len(idxs) < k:
-            raise SplitError(
-                f"class {label} has {len(idxs)} samples, fewer than k={k}")
-
-    rng = np.random.default_rng(seed)
-    fold_members = [[] for _ in range(k)]
-    for idxs in buckets:
-        if not idxs.size:
-            continue
-        rng.shuffle(idxs)
-        for f in range(k):
-            fold_members[f].extend(idxs[f::k].tolist())
-
+    for label, n in zip(CLASS_LABELS, class_distribution(dataset)):
+        if 0 < n < k:
+            raise SplitError(f"class {label} has {n} samples, fewer than k={k}")
+    fold = np.empty(len(dataset), dtype=int)
+    for idxs in _shuffled_classes(dataset, seed):
+        fold[idxs] = np.arange(len(idxs)) % k        # row idxs[j] goes to fold j % k
     splits = []
     for f in range(k):
-        test_idx = sorted(fold_members[f])
-        train_idx = sorted(i for g in range(k) if g != f for i in fold_members[g])
-        splits.append(_make_split(dataset, train_idx, test_idx, seed,
-                                  len(train_idx) / len(dataset)))
+        train = np.flatnonzero(fold != f).tolist()
+        splits.append(DatasetSplit(dataset, train, np.flatnonzero(fold == f).tolist(),
+                                   seed, len(train) / len(dataset)))
     return splits
 
 
@@ -345,5 +328,5 @@ def split_from_json(text, dataset):
         if type(i) is not int or not 0 <= i < n or i in seen:
             raise SplitError(f"split index {i!r} is repeated or not a row 0..{n - 1}")
         seen.add(i)
-    return _make_split(dataset, train_idx, test_idx,
-                       int(payload["seed"]), float(payload["ratio"]))
+    return DatasetSplit(dataset, train_idx, test_idx,
+                        int(payload["seed"]), float(payload["ratio"]))

@@ -20,7 +20,7 @@ import operator
 import numpy as np
 
 from .anfis import MODEL_FORMAT_VERSION, Record, checked_epochs, checked_nonnegative
-from .data import to_arrays
+from .data import kfold, to_arrays
 from .errors import NumericError
 
 __all__ = [
@@ -247,26 +247,35 @@ def train_backprop(model, train, test, config):
     return model, trace
 
 
+def _wrong(model, samples):
+    """How many rows of ``samples`` ``model`` classifies wrong."""
+    X, _, _, labels = to_arrays(samples)
+    return int(np.sum(model.classify(X)[0] != labels))
+
+
 def sweep_hidden(train, test, config, sizes=range(4, 21), seed=0):
     """Train one network per hidden size and score it on the test set.
 
-    Returns (results, best_hidden): one dict per size, best picked by
-    test accuracy with ties going to the smaller network.
+    The size is picked on the training rows alone: by accuracy over a
+    stratified ``kfold(train, 5, seed)``, ties going to the smaller
+    network.  Each size's network trained on all of ``train`` is then
+    scored once on ``test``, which plays no part in the pick.  Returns
+    (results, best_hidden): one dict per size, with its inner-fold
+    accuracy and its test figures.
     """
-    X_test, _, _, true = to_arrays(test)
+    folds = kfold(train, 5, seed)
     results = []
-    best_hidden, best_acc = None, -1.0
     for h in sizes:
         model = build_mlp(hidden=h, seed=seed)
+        inner_wrong = sum(_wrong(train_backprop(model, fold.train, [], config)[0],
+                                 fold.test) for fold in folds)
         trained, trace = train_backprop(model, train, test, config)
-        predicted, _ = trained.classify(X_test)
-        wrong = int(np.sum(predicted != true))
-        acc = float(np.mean(predicted == true))
+        wrong = _wrong(trained, test)
         results.append({"hidden": int(h),
+                        "inner_accuracy": (len(train) - inner_wrong) / len(train),
                         "train_mse": trace.train_mse[-1],
                         "test_mse": trace.test_mse,
-                        "test_accuracy": acc,
+                        "test_accuracy": (len(test) - wrong) / len(test),
                         "test_wrong": wrong})
-        if acc > best_acc:
-            best_hidden, best_acc = int(h), acc
-    return results, best_hidden
+    best = min(results, key=lambda row: (-row["inner_accuracy"], row["hidden"]))
+    return results, best["hidden"]

@@ -901,6 +901,13 @@ class TestDecoding:
         got = decode_values(np.array([0.9, 1.6, 2.2, 3.7, 5.0]))
         np.testing.assert_array_equal(got, [0, 1, 1, 3, 3])
 
+    @pytest.mark.parametrize("y", [[np.nan], [1.0, np.inf], [-np.inf, 2.0]])
+    def test_non_finite_output_refused(self, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")          # and no numpy warning
+            with pytest.raises(NumericError, match="non-finite model outputs"):
+                decode_values(np.array(y))
+
     def test_predict_classes_matches_forward_decode(self):
         rng = np.random.default_rng(30)
         model = random_model(rng, input_dim=3)

@@ -475,6 +475,23 @@ class TestEvaluate:
         assert proc.stderr == f"error: {path}: model gives non-finite scores\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["evaluate"], ["roc", "--class-index", "0"]])
+    def test_overflowing_single_output_exits_4(self, command, tmp_path, dataset):
+        # one output whose rule values overflow to inf - inf: it has no class
+        model = build_grid_model("gauss2")
+        model.consequents[:] = 1e308
+        model.consequents[::2] *= -1
+        path, out = tmp_path / "model.json", tmp_path / "out"
+        path.write_text(model_to_json(model), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "neurofuzzy.cli", *command, str(path),
+             "--dataset", str(dataset), "--split", "none", "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+        assert proc.returncode == 4
+        assert proc.stderr == "error: non-finite model outputs have no class\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", REFUSED_MODELS)
     def test_refused_model_file_exits_5(self, case, tmp_path, dataset, capsys):
         payload, at_load = REFUSED_MODELS[case]()

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import json
 from unittest import mock
 
@@ -426,6 +427,34 @@ class TestKfold:
     def test_bad_inputs_rejected(self, counts, k, message):
         with pytest.raises(SplitError, match=message):
             kfold(make_samples(counts), k, seed=0)
+
+
+class TestSplitIndices:
+    # sha256 of split_to_json (every fold's, concatenated, for kfold) on the
+    # bundled file: the rows each recipe picks, not only their counts
+    @pytest.mark.parametrize("recipe, arg, seed, digest", [
+        ("ratio", 0.5, 0, "8a619f47fa5f3b396d03578831fd1d34397bd3ee888f7d9cdf2d00ef78c5c7a7"),
+        ("ratio", 0.5, 3, "aca7257302fabc71c476055de24b66c70fe511254eaa56361331f9cc28ee1c5e"),
+        ("ratio", 0.8, 0, "c54d7ad43dc7fcca2e25345496733e02e08aa9fc115168afc9070ea5f5671e0f"),
+        ("ratio", 0.8, 3, "4c1a9cd09286854db72daeea3a181699e886d448e988c41748eb75522c4071d1"),
+        ("ratio", 0.9, 0, "6c7309ecfbe155d221203244e94099b2866ad6cbc76142ca891d1485e7fc272f"),
+        ("ratio", 0.9, 3, "98075c04fc6a9ba788a9927ce61145eadea33f03549657851049008e7cc847d3"),
+        ("kfold", 2, 0, "3a936fb785334c5ae6c24d48292e5144c2d437ecc5b230ad8f1ab5a04d1205f9"),
+        ("kfold", 2, 4, "5717baaea2a821df8080b51a4059e2f1d8aee68d12f108f95e62b9b6703075e3"),
+        ("kfold", 5, 0, "8981c0f1220cedec429f218965251e47ca374b722b389b368ff75aa62bd51b7e"),
+        ("kfold", 5, 4, "c655ef7d4eeff2313e877baf4ddb2b70dae930f29e70a60b10be6b67f217e4eb"),
+        ("kfold", 10, 0, "4cd7d6becb1f67d9e5fd55968046806c59c3f8e74a4270fe2e6fdc586a320750"),
+        ("kfold", 10, 4, "4bdf86d400ae88cfd2fc75e3e8fca17a8f9c56e7e03b7482bc8686ebe9947ba4"),
+        ("predefined", 258, 0, "fe9b6f8899a770620122b783e6f34295a226d5b386e88ca44dbb015dcdf2b883"),
+        ("predefined", 100, 0, "b9833fe3f9cea135c23d12b2d313e07a628fb95169ee38b3565a49f4439cee26"),
+    ])
+    def test_bundled_splits_keep_their_rows(self, recipe, arg, seed, digest):
+        samples = load_dataset("data/ukm_synthetic.csv")
+        splits = {"ratio": lambda: [split_stratified(samples, arg, seed)],
+                  "kfold": lambda: kfold(samples, arg, seed),
+                  "predefined": lambda: [predefined_split(samples, arg)]}[recipe]()
+        text = "".join(map(split_to_json, splits))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 class TestClassDistribution:

@@ -298,9 +298,8 @@ class TestSweep:
         config = MlpTrainingConfig(epochs=30, learn_rate=0.5)
         results, best = sweep_hidden(train, test, config, sizes=range(4, 8))
         assert [r["hidden"] for r in results] == [4, 5, 6, 7]
-        accs = [r["test_accuracy"] for r in results]
-        top = max(accs)
-        assert best == results[accs.index(top)]["hidden"]
+        accs = [r["inner_accuracy"] for r in results]
+        assert best == results[accs.index(max(accs))]["hidden"]
 
     def test_tie_breaks_to_smaller(self):
         rng = np.random.default_rng(12)
@@ -308,11 +307,21 @@ class TestSweep:
         test = toy_samples(12, rng)
         # epochs plenty for all sizes to reach 100%: guaranteed tie
         config = MlpTrainingConfig(epochs=300, learn_rate=0.5)
-        results, best = sweep_hidden(train, test, config, sizes=range(6, 10))
-        accs = [r["test_accuracy"] for r in results]
-        first_top = next(r["hidden"] for r, a in zip(results, accs)
-                         if a == max(accs))
-        assert best == first_top
+        results, best = sweep_hidden(train, test, config, sizes=(9, 7, 6, 8))
+        assert all(r["inner_accuracy"] == 1.0 for r in results)
+        assert best == 6
+
+    def test_pick_ignores_the_test_labels(self):
+        rng = np.random.default_rng(13)
+        train = toy_samples(40, rng)
+        test = toy_samples(16, rng)
+        shuffled = Dataset(test.X, rng.permutation(test.labels))
+        config = MlpTrainingConfig(epochs=30, learn_rate=0.5)
+        results, best = sweep_hidden(train, test, config, sizes=range(4, 8))
+        again, best_again = sweep_hidden(train, shuffled, config, sizes=range(4, 8))
+        assert best_again == best
+        assert ([r["inner_accuracy"] for r in again]
+                == [r["inner_accuracy"] for r in results])
 
 
 class TestSerialization:

@@ -20,7 +20,7 @@ sys.path.insert(0, str(ROOT / "tools"))
 
 import bench_pairs  # noqa: E402  (needs tools/ on the path)
 from bench_pairs import compare, stats  # noqa: E402
-from output_contract import difference  # noqa: E402
+from output_contract import difference, scaled_difference  # noqa: E402
 
 
 @pytest.mark.parametrize("tool", TOOLS, ids=[t.name for t in TOOLS])
@@ -46,6 +46,20 @@ def test_tool_prints_help(tool):
         "extra-number", "masked-text-equal", "not-utf8"])
 def test_output_contract_difference(parent, change, verdict):
     assert difference(parent, change) == verdict
+
+
+@pytest.mark.parametrize("parent, change, scaled", [
+    (b'{"a": [1.0, 2.0]}', b'{"a": [1.0, -4.0]}', 1.5),
+    # a tiny value that halved: element-wise 0.5, but 1e-16 of the largest number
+    (b"[1e-14, 100.0]", b"[2e-14, 100.0]", 1e-14 / 100.0),
+    (b'{"a": [1.0, 2.0, 8]}', b'{"a": [1.0, 2.5, 9]}', 1.0 / 9),
+    (b'{"a": 1.0}', b'{"b": 1.0}', None),
+    (b"\xff 1.0", b"\xff 2.0", None),
+], ids=["changed-sign", "tiny-value", "changed-floats", "changed-text", "not-utf8"])
+def test_output_contract_scaled_difference(parent, change, scaled):
+    assert scaled_difference(parent, change) == scaled
+    if scaled is not None:
+        assert difference(parent, change).startswith("worst relative difference")
 
 
 def test_bench_pairs_stats():

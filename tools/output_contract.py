@@ -34,12 +34,13 @@ every output under the temporary directory:
 
 Each command's stdout and stderr, with the temporary paths replaced, are
 output files too.  The report gives each output file as "identical",
-as the worst relative difference of its numbers when only numbers
-differ, or as differing text; each command's exit code on both sides;
-whether each parent-written ``model.json`` loads and re-saves byte for
-byte under the change; and any file or exit code that differs between
-the two runs of the change.  It exits 1 on any difference.  Nothing in
-the repository is written.
+as differing text, or, when only numbers differ, as the worst relative
+difference of its numbers, element by element and relative to the
+largest magnitude among the file's numbers; each command's exit code on
+both sides; whether each parent-written ``model.json`` loads and
+re-saves byte for byte under the change; and any file or exit code that
+differs between the two runs of the change.  It exits 1 on any
+difference.  Nothing in the repository is written.
 """
 
 import argparse
@@ -333,21 +334,42 @@ def outputs(run):
             if p.is_file() and p.relative_to(run).parts[0] != "inputs"}
 
 
+def number_pairs(a, b):
+    """The numbers of ``a`` and ``b`` side by side, as floats, when the two
+    texts differ only in them; otherwise None."""
+    try:
+        ta, tb = a.decode("utf-8"), b.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    na, nb = NUMBER.findall(ta), NUMBER.findall(tb)
+    if NUMBER.sub("#", ta) != NUMBER.sub("#", tb) or len(na) != len(nb):
+        return None
+    return [(float(x), float(y)) for x, y in zip(na, nb)]
+
+
 def difference(a, b):
     """"identical", the worst relative difference of the numbers when only
     numbers differ, or "differs"."""
     if a == b:
         return "identical"
-    try:
-        ta, tb = a.decode("utf-8"), b.decode("utf-8")
-    except UnicodeDecodeError:
+    pairs = number_pairs(a, b)
+    if pairs is None:
         return "differs"
-    na, nb = NUMBER.findall(ta), NUMBER.findall(tb)
-    if NUMBER.sub("#", ta) != NUMBER.sub("#", tb) or len(na) != len(nb):
-        return "differs"
-    worst = max((abs(float(x) - float(y)) / max(abs(float(x)), abs(float(y)))
-                 for x, y in zip(na, nb) if float(x) != float(y)), default=0.0)
+    worst = max((abs(x - y) / max(abs(x), abs(y)) for x, y in pairs if x != y),
+                default=0.0)
     return f"worst relative difference {worst:.3g}"
+
+
+def scaled_difference(a, b):
+    """The worst difference of the numbers relative to the largest magnitude
+    among both files' numbers, when only numbers differ; otherwise None.
+    A tiny value that moved reads small here, where ``difference`` gives
+    it the full weight of its own size."""
+    pairs = number_pairs(a, b)
+    if not pairs:
+        return None
+    scale = max(max(abs(x), abs(y)) for x, y in pairs)
+    return max(abs(x - y) for x, y in pairs) / scale if scale else 0.0
 
 
 def resaved(tree, run):
@@ -390,6 +412,8 @@ def main(argv=None):
         verdict = ("only in the change" if a is None else "only in the parent"
                    if b is None else difference(a, b))
         problems += verdict != "identical"
+        if verdict.startswith("worst"):
+            verdict += f", {scaled_difference(a, b):.3g} of the largest number"
         print(f"  {name}: {verdict}")
     print("exit codes, parent -> change:")
     for name in codes["parent"]:
