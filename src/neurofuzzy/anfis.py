@@ -54,7 +54,6 @@ __all__ = [
     "anfis_forward",
     "lse_consequents",
     "premise_gradients",
-    "premise_gradient_step",
     "train_hybrid",
     "train_oaa",
     "decode_values",
@@ -343,9 +342,12 @@ def _member_outputs(members, X):
     P = np.array([shape.stack(m.mf_bank) for m in members])
     consequents = np.array([m.consequents for m in members])
     y = np.empty((len(X), C))
-    for b in _row_blocks(len(X), C * model.n_rules):
-        Wbar = _layers(model, P, X[b])[3]
-        y[b] = _outputs(X[b], consequents, Wbar)[1].T
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below instead
+        for b in _row_blocks(len(X), C * model.n_rules):
+            Wbar = _layers(model, P, X[b])[3]
+            y[b] = _outputs(X[b], consequents, Wbar)[1].T
+    if not np.all(np.isfinite(y)):
+        raise NumericError("non-finite model outputs have no class")
     return y
 
 
@@ -535,24 +537,6 @@ def premise_gradients(model, X, t):
     if not np.all(np.isfinite(grads)):
         raise NumericError("non-finite premise gradient")
     return float(mse[0]), grads[0]
-
-
-def premise_gradient_step(model, X, t, learn_rate):
-    """One gradient-descent step on every trainable premise parameter.
-
-    Widths are clamped positive and a crossed two-sided plateau is
-    repaired by swapping sides, so membership invariants survive any
-    step size.  Triangular premises are left untouched.  A non-finite
-    gradient or stepped parameter raises ``NumericError`` and leaves the
-    model unchanged.
-    """
-    shape = model.mf_class
-    if not shape.trainable:
-        return model
-    _, grads = premise_gradients(model, X, t)
-    model.mf_bank = shape.unstack(
-        _stepped(shape, shape.stack(model.mf_bank), grads, learn_rate))
-    return model
 
 
 def _targets(members, samples):

@@ -292,13 +292,18 @@ def cmd_roc(args):
             "in the evaluation set")
     curve = roc_curve(scores[:, k], positives)
     _write_text(args.out, roc_to_csv(curve))
-    print(f"class {k} auc {auc(curve)!r}")
+    # stdout holds the curve alone when it is the output
+    print(f"class {k} auc {auc(curve)!r}",
+          file=sys.stderr if args.out == "-" else sys.stdout)
     return 0
 
 
 def _is_number(value, kinds=(int, float)):
-    """Whether a JSON value is of ``kinds``; true and false are not numbers."""
-    return isinstance(value, kinds) and not isinstance(value, bool)
+    """Whether a JSON value is of ``kinds`` and no larger than the largest
+    float; true and false, NaN, the infinities and larger integers are not
+    numbers."""
+    return (isinstance(value, kinds) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _load_baselines(path):

@@ -263,6 +263,8 @@ def sweep_hidden(train, test, config, sizes=range(4, 21), seed=0):
     (results, best_hidden): one dict per size, with its inner-fold
     accuracy and its test figures.
     """
+    if not test:
+        raise ValueError("test set is empty")
     folds = kfold(train, 5, seed)
     results = []
     for h in sizes:

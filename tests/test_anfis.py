@@ -17,14 +17,13 @@ from neurofuzzy.anfis import (AnfisEnsemble, AnfisModel, TrainingConfig,
                               anfis_forward, build_grid_model, class_scores,
                               decode_values, ensemble_predict_classes,
                               lse_consequents, predict_classes,
-                              premise_gradient_step, premise_gradients,
-                              train_hybrid, train_oaa)
+                              premise_gradients, train_hybrid, train_oaa)
 from neurofuzzy import anfis
 from neurofuzzy.anfis import _forward_batch
 from neurofuzzy.cli import main
 from neurofuzzy.data import Dataset
 from neurofuzzy.errors import ModelFormatError, NumericError
-from neurofuzzy.fuzzy import MF_SHAPES
+from neurofuzzy.fuzzy import MF_SHAPES, MIN_WIDTH
 from neurofuzzy.model_io import load_model, model_to_json, save_model
 from neurofuzzy.mlp import build_mlp
 from hybrid_reference import gathered_firing
@@ -78,6 +77,13 @@ def _repair(mf, p):
         if p[1] > p[3]:
             p[1], p[3] = p[3], p[1]
     return mf.with_params(p)
+
+
+def stepped_bank(model, grads, learn_rate):
+    """The model's bank moved one step against ``grads`` and repaired, as
+    a training epoch steps it."""
+    shape = model.mf_class
+    return shape.unstack(shape.repair(shape.stack(model.mf_bank) - learn_rate * grads))
 
 
 def batch_loss(model, X, t):
@@ -708,14 +714,6 @@ class TestPremiseGradients:
                 fd = (batch_loss(hi, X, t) - batch_loss(lo, X, t)) / (2 * h)
                 assert grads[0, m, k] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
-    def test_zero_learn_rate_is_identity(self):
-        rng = np.random.default_rng(11)
-        model = random_model(rng, input_dim=2)
-        before = model_to_json(model)
-        X = rng.uniform(-1, 1, size=(10, 2))
-        premise_gradient_step(model, X, rng.normal(size=10), learn_rate=0.0)
-        assert model_to_json(model) == before
-
     def test_small_step_does_not_increase_loss(self):
         rng = np.random.default_rng(12)
         for trial in range(5):
@@ -723,7 +721,7 @@ class TestPremiseGradients:
             X = rng.uniform(-0.9, 0.9, size=(20, 2))
             t = rng.normal(size=20)
             before = batch_loss(model, X, t)
-            premise_gradient_step(model, X, t, learn_rate=1e-5)
+            model.mf_bank = stepped_bank(model, premise_gradients(model, X, t)[1], 1e-5)
             assert batch_loss(model, X, t) <= before + 1e-12
 
     def test_frozen_shape_has_zero_gradients(self):
@@ -736,22 +734,24 @@ class TestPremiseGradients:
 
     def test_step_leaves_a_triangular_model_unchanged(self):
         model = build_grid_model("triangular", input_dim=2)
-        model.consequents = np.random.default_rng(15).normal(size=model.consequents.shape)
-        before = model_to_json(model)
-        X = np.random.default_rng(16).uniform(-1, 1, size=(10, 2))
-        assert premise_gradient_step(model, X, np.arange(10.0), learn_rate=0.5) is model
-        assert model_to_json(model) == before
+        rng = np.random.default_rng(16)
+        samples = Dataset(rng.uniform(-1, 1, size=(10, 2)), np.arange(10) % 4)
+        trained, _ = train_hybrid(model, samples, [],
+                                  TrainingConfig(epochs=3, learn_rate=0.5))
+        assert trained.to_dict()["mf_bank"] == model.to_dict()["mf_bank"]
 
     def test_step_keeps_widths_positive(self):
         rng = np.random.default_rng(14)
         model = random_model(rng, mf_shape="gauss2", input_dim=2)
-        X = rng.uniform(-1, 1, size=(10, 2))
-        t = rng.normal(size=10)
-        for _ in range(50):   # absurd rate to slam into the clamps
-            premise_gradient_step(model, X, t, learn_rate=5.0)
-        for row in model.mf_bank:
+        samples = Dataset(rng.uniform(-1, 1, size=(40, 2)), rng.integers(0, 4, size=40))
+        # absurd rate to slam into the clamps
+        trained, _ = train_hybrid(model, samples, [],
+                                  TrainingConfig(epochs=50, learn_rate=50.0))
+        sigmas = [s for row in trained.mf_bank for mf in row
+                  for s in (mf.sigma_left, mf.sigma_right)]
+        assert min(sigmas) == MIN_WIDTH
+        for row in trained.mf_bank:
             for mf in row:
-                assert mf.sigma_left >= 1e-6 and mf.sigma_right >= 1e-6
                 assert mf.c_left <= mf.c_right
 
     @pytest.mark.parametrize("param, grad", [(1, np.nan), (0, np.inf)])
@@ -759,15 +759,18 @@ class TestPremiseGradients:
         # unchecked, a NaN center would be kept and a -inf width clamped
         rng = np.random.default_rng(15)
         model = random_model(rng, mf_shape="gauss2", input_dim=2)
-        before = model_to_json(model)
-        X = rng.uniform(-1, 1, size=(10, 2))
-        t = rng.normal(size=10)
-        loss, grads = premise_gradients(model, X, t)
-        grads[1][0][param] = grad
-        monkeypatch.setattr(anfis, "premise_gradients", lambda *_: (loss, grads))
-        with pytest.raises(NumericError):
-            premise_gradient_step(model, X, t, learn_rate=0.01)
-        assert model_to_json(model) == before
+        samples = Dataset(rng.uniform(-1, 1, size=(10, 2)), np.arange(10) % 4)
+        loss_and_grads = anfis._loss_and_grads
+
+        def poisoned(*args, **kwargs):
+            loss, grads = loss_and_grads(*args, **kwargs)
+            if grads is not None:
+                grads[0, 1, 0, param] = grad
+            return loss, grads
+
+        monkeypatch.setattr(anfis, "_loss_and_grads", poisoned)
+        with pytest.raises(NumericError, match="premise step produced non-finite"):
+            train_hybrid(model, samples, [], TrainingConfig(epochs=1))
 
     @pytest.mark.parametrize("rows, targets, message", [
         (0, 0, "need at least one training sample"),
@@ -778,7 +781,6 @@ class TestPremiseGradients:
         model = build_grid_model("gbell", input_dim=2)
         X, t = np.zeros((rows, 2)), np.zeros(targets)
         for call in (lambda: premise_gradients(model, X, t),
-                     lambda: premise_gradient_step(model, X, t, learn_rate=0.01),
                      lambda: lse_consequents(model, X, t)):
             with pytest.raises(ValueError, match=message):
                 call()
@@ -790,12 +792,8 @@ class TestPremiseGradients:
         model.consequents = np.random.default_rng(0).normal(size=model.consequents.shape)
         X = np.full((1, 5), 8.2)
         assert 0.0 < _forward_batch(model, X)[1].sum() < np.finfo(float).tiny
-        before = model_to_json(model)
         with np.errstate(all="ignore"), pytest.raises(NumericError):
             premise_gradients(model, X, [1.0])
-        with np.errstate(all="ignore"), pytest.raises(NumericError):
-            premise_gradient_step(model, X, [1.0], learn_rate=0.01)
-        assert model_to_json(model) == before
         with warnings.catch_warnings():      # and without a numpy warning
             warnings.simplefilter("error")
             with pytest.raises(NumericError):
@@ -813,7 +811,7 @@ class TestTrainHybrid:
         manual = copy.deepcopy(model)
         X, t = samples.X, samples.labels + 1.0
         lse_consequents(manual, X, t, ridge=1e-8)
-        premise_gradient_step(manual, X, t, learn_rate=0.05)
+        manual.mf_bank = stepped_bank(manual, premise_gradients(manual, X, t)[1], 0.05)
         np.testing.assert_array_equal(trained.consequents, manual.consequents)
         for j in range(3):
             for m in range(2):
@@ -938,6 +936,20 @@ class TestDecoding:
         # tie between classes 1 and 2 breaks to the lower index
         np.testing.assert_array_equal(ensemble_predict_classes(ensemble, X),
                                       [1, 1, 1, 1])
+
+    @pytest.mark.filterwarnings("error")     # refused, with no numpy warning
+    @pytest.mark.parametrize("head", [ensemble_predict_classes, class_scores])
+    def test_ensemble_non_finite_outputs_refused(self, head):
+        # finite consequents whose rule values overflow to inf - inf: scored,
+        # every row would go to class 0 with NaN scores
+        samples = toy_samples(24, np.random.default_rng(31), input_dim=2)
+        ensemble, _ = train_oaa(build_grid_model("gbell", input_dim=2), samples, [],
+                                TrainingConfig(epochs=2))
+        for member in ensemble.members:
+            member.consequents[:] = 1e308
+            member.consequents[::2] *= -1
+        with pytest.raises(NumericError, match="non-finite model outputs have no class"):
+            head(ensemble, samples.X)
 
 
 class TestSerialization:

@@ -472,7 +472,7 @@ class TestEvaluate:
             capture_output=True, text=True, timeout=120,
             env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
         assert proc.returncode == 4
-        assert proc.stderr == f"error: {path}: model gives non-finite scores\n"
+        assert proc.stderr == "error: non-finite model outputs have no class\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["evaluate"], ["roc", "--class-index", "0"]])
@@ -646,11 +646,16 @@ class TestRoc:
     def test_out_dash_writes_the_curve_to_stdout(self, trained, tmp_path,
                                                  monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        assert main(["roc", trained["model"], "--class-index", "0",
-                     "--out", "-", "--config", trained["config"]]) == 0
-        lines = capsys.readouterr().out.split("\n")
-        assert lines[0] == "threshold,fpr,tpr"
-        assert lines[-2].startswith("class 0 auc ")
+        command = ["roc", trained["model"], "--class-index", "0",
+                   "--config", trained["config"]]
+        assert main([*command, "--out", "curve.csv"]) == 0
+        wrote, printed = capsys.readouterr().out.splitlines()
+        assert wrote == "wrote curve.csv" and printed.startswith("class 0 auc ")
+        assert main([*command, "--out", "-"]) == 0
+        captured = capsys.readouterr()
+        # stdout is the CSV alone, so it can be redirected to a file
+        assert captured.out == (tmp_path / "curve.csv").read_text(encoding="utf-8")
+        assert captured.err == printed + "\n"
         assert not (tmp_path / "-").exists()
 
     def test_out_in_a_missing_directory_exits_2(self, trained, tmp_path, capsys):
@@ -682,6 +687,15 @@ MALFORMED_BASELINES = {
                                                           "cap_decimals": "2"}]},
     "cap-decimals-negative": {"test_size": 145, "rows": [{**PUBLISHED_ROW,
                                                           "cap_decimals": -400}]},
+    # written as the NaN and Infinity tokens, which strict JSON readers refuse
+    "mwcs-nan": {"test_size": 145, "rows": [{**PUBLISHED_ROW, "mwcs": math.nan}]},
+    "cap-percent-infinity": {"test_size": 145, "rows": [{**PUBLISHED_ROW,
+                                                         "cap_percent": math.inf}]},
+    # integers past the largest float
+    "test-size-huge-int": {"test_size": 10**400, "rows": [PUBLISHED_ROW]},
+    "mwcs-huge-int": {"test_size": 145, "rows": [{**PUBLISHED_ROW, "mwcs": 10**400}]},
+    "cap-decimals-huge-int": {"test_size": 145, "rows": [{**PUBLISHED_ROW,
+                                                          "cap_decimals": 10**400}]},
 }
 
 

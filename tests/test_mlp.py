@@ -323,6 +323,12 @@ class TestSweep:
         assert ([r["inner_accuracy"] for r in again]
                 == [r["inner_accuracy"] for r in results])
 
+    def test_empty_test_set_refused(self, monkeypatch):
+        train = toy_samples(40, np.random.default_rng(14))
+        monkeypatch.setattr(mlp, "train_backprop", None)    # before any training
+        with pytest.raises(ValueError, match="test set is empty"):
+            sweep_hidden(train, train.take([]), MlpTrainingConfig(epochs=30))
+
 
 class TestSerialization:
     def test_round_trip_byte_identical(self, tmp_path):

@@ -23,7 +23,8 @@ every output under the temporary directory:
   the command does not read, an unwritable output path, bad data, a class
   absent from the data, bad model files, a model of two inputs, a model
   whose membership degrees or rule values overflow, malformed baselines
-  files), their model files edited from the side's own trained models.
+  files, one with NaN and Infinity and one with an integer past the
+  largest float), their model files edited from the side's own trained models.
   Each faulty data file (a non-numeric, out-of-range or missing cell, a
   missing or duplicated column, two faults in one file in either order)
   goes through both ``dataset-stats`` and ``train``;
@@ -134,9 +135,12 @@ def misuse(inp, run, dataset):
     nan_rate.write_text(f"dataset={dataset}\nlearn_rate=nan\n", encoding="utf-8")
     row = {"method": "probe", "cap_percent": 98.62}
     baselines = {"test-size-zero": {"test_size": 0, "rows": [{**row, "mwcs": 2.0}]},
-                 "row-without-mwcs": {"test_size": 145, "rows": [row]}}
+                 "row-without-mwcs": {"test_size": 145, "rows": [row]},
+                 "nan": {"test_size": 145, "rows": [{**row, "mwcs": float("nan"),
+                                                     "cap_percent": float("inf")}]},
+                 "huge-int": {"test_size": 10**400, "rows": [{**row, "mwcs": 2.0}]}}
     for name, payload in baselines.items():
-        (inp / f"{name}.json").write_text(json.dumps(payload), encoding="utf-8")
+        (inp / f"baselines-{name}.json").write_text(json.dumps(payload), encoding="utf-8")
     (inp / "a_file").write_text("", encoding="utf-8")
     data = ["--dataset", str(dataset)]
     (inp / "corrupt.json").write_text('{"kind": "anfis"', encoding="utf-8")
@@ -233,7 +237,8 @@ def misuse(inp, run, dataset):
                                  "--split", "none", "--class-index", "3",
                                  "--out", str(run / "absent.csv")]),
     ]
-    cases += [(f"misuse-baselines-{name}", ["compare", "--baselines", str(inp / f"{name}.json"),
+    cases += [(f"misuse-baselines-{name}", ["compare", "--baselines",
+                                            str(inp / f"baselines-{name}.json"),
                                             "--out-dir", str(run / f"bad-{name}")])
               for name in baselines]
     cases += [(f"misuse-data-{name}-{command}",
